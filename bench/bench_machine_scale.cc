@@ -108,9 +108,10 @@ main(int argc, char **argv)
     BenchSpec spec;
     spec.name = "machine";
     spec.defaults = [](BenchContext &ctx) {
-        // Engine throughput, not checker throughput: the invariant
-        // checker's bookkeeping (and its O(nodes^2) sweeps) would
-        // dominate at scale. test_parallel covers correctness.
+        // Engine throughput, not checker throughput: the rows
+        // measure the engine alone. The checker's sweeps are cheap
+        // at any size now, but its hooks serialize shard threads on
+        // one mutex. test_parallel covers correctness with it on.
         ctx.machine.check.enabled = false;
     };
     spec.params = [&](sim::Binder &b) {

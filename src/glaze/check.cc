@@ -63,8 +63,14 @@ InvariantChecker::Stats::Stats(StatGroup *parent)
 }
 
 InvariantChecker::InvariantChecker(Machine &m, CheckConfig cfg)
-    : stats(&m.root), m_(m), cfg_(cfg)
+    : stats(&m.root), m_(m), cfg_(cfg), nodeProcs_(m.nodeCount())
 {
+}
+
+void
+InvariantChecker::addProcess(Process &p)
+{
+    nodeProcs_[p.node()].push_back(&p);
 }
 
 std::uint64_t
@@ -177,7 +183,7 @@ InvariantChecker::onDeliver(const net::Packet &pkt, NodeId node,
         if (parallel_)
             sweepPending_ = true;
         else
-            sweepConservation();
+            sweepConservation(sweepAll_);
     }
 }
 
@@ -187,7 +193,7 @@ InvariantChecker::barrierSweep()
     if (!cfg_.enabled || !sweepPending_)
         return;
     sweepPending_ = false;
-    sweepConservation();
+    sweepConservation(sweepAll_);
 }
 
 void
@@ -295,52 +301,63 @@ InvariantChecker::isolation(Gid gid) const
 }
 
 void
-InvariantChecker::sweepConservation()
+InvariantChecker::sweepConservation(bool all_nodes)
 {
     for (NodeId n = 0; n < m_.nodeCount(); ++n) {
-        unsigned expected = m_.pinnedFrames(n);
-        std::unordered_map<Gid, unsigned> held;
-        for (const auto &proc : m_.processes) {
-            if (proc->node() != n)
-                continue;
-            const unsigned frames = proc->vbuf().pagesResident() +
-                                    proc->as().mappedPages();
-            expected += frames;
-            held[proc->gid()] += frames;
-        }
-        const unsigned used = m_.node(n).frames.used();
-        if (used != expected)
-            report(stats.conservationViolations,
-                   detail::concat("node ", n, " frame pool uses ", used,
-                             " frames but ", expected,
-                             " are accounted for (pinned + vbuf ",
-                             "resident + heap mapped)"));
-
-        // Cross-tenant occupancy, fed by the same accounting the
-        // conservation check just verified: how much of this node's
-        // pool each GID pins right now.
-        const unsigned total = m_.node(n).frames.total();
-        if (total == 0)
+        FramePool &frames = m_.node(n).frames;
+        if (!all_nodes && !frames.dirty())
             continue;
-        for (const auto &[gid, frames] : held) {
-            GidState &g = gids_[gid];
-            if (frames > g.iso.framePeak)
-                g.iso.framePeak = frames;
-            const double share =
-                static_cast<double>(frames) / total;
-            if (share > g.iso.frameShareMax)
-                g.iso.frameShareMax = share;
-            if (share > stats.maxFrameShare.value())
-                stats.maxFrameShare.set(share);
-            if (cfg_.frameShareLimit > 0.0 &&
-                share > cfg_.frameShareLimit)
-                report(stats.isolationViolations,
-                       detail::concat("gid ", gid, " holds ", frames,
-                                 " of ", total, " frames on node ", n,
-                                 " (share limit ",
-                                 cfg_.frameShareLimit, ")"));
+        if (!sweepNode(n))
+            frames.clearDirty();
+    }
+}
+
+bool
+InvariantChecker::sweepNode(NodeId n)
+{
+    const FramePool &frames = m_.node(n).frames;
+    bool violated = false;
+    unsigned expected = m_.pinnedFrames(n);
+    for (Process *proc : nodeProcs_[n])
+        expected += proc->vbuf().pagesResident() + proc->as().mappedPages();
+    const unsigned used = frames.used();
+    if (used != expected) {
+        violated = true;
+        report(stats.conservationViolations,
+               detail::concat("node ", n, " frame pool uses ", used,
+                         " frames but ", expected,
+                         " are accounted for (pinned + vbuf ",
+                         "resident + heap mapped)"));
+    }
+
+    // Cross-tenant occupancy, fed by the same accounting the
+    // conservation check just verified: how much of this node's pool
+    // each GID pins right now (a node runs at most one process per
+    // GID).
+    const unsigned total = frames.total();
+    if (total == 0)
+        return violated;
+    for (Process *proc : nodeProcs_[n]) {
+        const unsigned held =
+            proc->vbuf().pagesResident() + proc->as().mappedPages();
+        GidState &g = gids_[proc->gid()];
+        if (held > g.iso.framePeak)
+            g.iso.framePeak = held;
+        const double share = static_cast<double>(held) / total;
+        if (share > g.iso.frameShareMax)
+            g.iso.frameShareMax = share;
+        if (share > stats.maxFrameShare.value())
+            stats.maxFrameShare.set(share);
+        if (cfg_.frameShareLimit > 0.0 && share > cfg_.frameShareLimit) {
+            violated = true;
+            report(stats.isolationViolations,
+                   detail::concat("gid ", proc->gid(), " holds ", held,
+                             " of ", total, " frames on node ", n,
+                             " (share limit ", cfg_.frameShareLimit,
+                             ")"));
         }
     }
+    return violated;
 }
 
 void
@@ -348,7 +365,8 @@ InvariantChecker::finalChecks()
 {
     if (!cfg_.enabled)
         return;
-    sweepConservation();
+    // The backstop: balance every node, dirty or not.
+    sweepConservation(true);
 
     // Per-cause Divert trace events must sum to the kernels'
     // bufferInserts counters — every software-buffered insertion is

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "net/packet.hh"
 #include "sim/stats.hh"
@@ -104,6 +105,20 @@ class InvariantChecker final : public net::PacketWatcher
 
     /** Called by Process at every handler dispatch, both paths. */
     void onDispatch(Process &p, bool buffered_path);
+
+    /**
+     * Index @p p under its node for the conservation sweep. Called by
+     * the Machine for every process it creates.
+     */
+    void addProcess(Process &p);
+
+    /**
+     * Reference mode: every periodic sweep visits every node, not
+     * only those whose frame accounting moved since the last sweep.
+     * Violation counts and watermarks are identical either way; tests
+     * use this to prove it.
+     */
+    void setSweepAllNodes(bool on) { sweepAll_ = on; }
 
     /**
      * End-of-run checks: frame conservation on every node and Divert
@@ -180,7 +195,18 @@ class InvariantChecker final : public net::PacketWatcher
     static std::uint64_t checksum(const net::Packet &pkt);
 
     void report(Scalar &counter, const std::string &msg);
-    void sweepConservation();
+
+    /**
+     * Frame conservation and per-GID occupancy, on every node when
+     * @p all_nodes, else only on nodes whose FramePool is marked
+     * dirty. A node is marked clean only when it balanced and no GID
+     * on it broke the share limit, so a standing violation is
+     * re-reported by every later sweep exactly as a full sweep would.
+     */
+    void sweepConservation(bool all_nodes);
+
+    /** Sweep one node; @return true if it reported a violation. */
+    bool sweepNode(NodeId n);
 
     /** Hook-entry guard: locks only when the engine is parallel. */
     std::unique_lock<std::mutex>
@@ -221,8 +247,12 @@ class InvariantChecker final : public net::PacketWatcher
     /** Isolation/starvation metrics per application GID. */
     std::unordered_map<Gid, GidState> gids_;
 
+    /** Processes per node, in creation order (the sweep's index). */
+    std::vector<std::vector<Process *>> nodeProcs_;
+
     std::uint64_t deliveries_ = 0;
     bool parallel_ = false;
+    bool sweepAll_ = false;
     bool sweepPending_ = false;
     mutable std::mutex mu_;
 };

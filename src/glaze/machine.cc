@@ -274,6 +274,7 @@ Machine::addJob(std::string name, AppBody body)
         }
         proc->setTracer(tracerFor(n));
         proc->setChecker(checker_.get());
+        checker_->addProcess(*proc);
         job->procs.push_back(proc.get());
         proc->threads().spawn(job->name() + "-main", rt::kPrioNormal,
                               jobMain(proc.get(), job.get(), body));

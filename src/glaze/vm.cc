@@ -33,6 +33,7 @@ FramePool::tryAllocate()
         return false;
     }
     ++used_;
+    dirty_ = true;
     ++stats.allocations;
     if (used_ > stats.peakUsed.value())
         stats.peakUsed.set(used_);
@@ -44,6 +45,7 @@ FramePool::release()
 {
     fugu_assert(used_ > 0, "releasing a frame never allocated");
     --used_;
+    dirty_ = true;
 }
 
 AddressSpace::~AddressSpace()

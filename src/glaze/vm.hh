@@ -60,6 +60,18 @@ class FramePool
      */
     void setFault(sim::FaultInjector *fault) { fault_ = fault; }
 
+    /**
+     * Conservation dirty mark: set by every successful allocation
+     * and every release, so the invariant checker's periodic sweep
+     * can skip nodes whose books have not moved since it last
+     * balanced them. Every vbuf residency change and heap map/unmap
+     * goes through one of the two. Per node, so it is written only
+     * by the node's own shard; the checker reads and clears it in
+     * serial (phase-barrier) context. Starts set.
+     */
+    bool dirty() const { return dirty_; }
+    void clearDirty() { dirty_ = false; }
+
     struct Stats
     {
         Stats(StatGroup *parent, NodeId id);
@@ -75,6 +87,7 @@ class FramePool
     unsigned total_;
     unsigned used_ = 0;
     unsigned watermark_ = 2;
+    bool dirty_ = true;
     sim::FaultInjector *fault_ = nullptr;
 };
 

@@ -112,6 +112,7 @@ Network::ChannelMap::grow()
 {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    shift_ = old.empty() ? 60 : shift_ - 1;
     const std::size_t mask = slots_.size() - 1;
     for (Slot &s : old) {
         if (!s.used)
@@ -121,6 +122,30 @@ Network::ChannelMap::grow()
             ++i;
         slots_[i & mask] = s;
     }
+}
+
+void
+Network::ChannelMap::addHealth(ChannelTableHealth &h) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (!slots_[i].used)
+            continue;
+        const std::size_t probe = ((i - hash(slots_[i].key)) & mask) + 1;
+        h.maxProbe = std::max(h.maxProbe, probe);
+        h.totalProbe += probe;
+    }
+    h.channels += size_;
+    h.capacity += slots_.size();
+}
+
+ChannelTableHealth
+Network::channelTableHealth() const
+{
+    ChannelTableHealth h;
+    for (const ChannelMap &m : chans_)
+        m.addHealth(h);
+    return h;
 }
 
 bool
@@ -315,13 +340,15 @@ Network::accountDelivery(unsigned dlane, NodeId src, NodeId dst,
         stats.deliveryLatency.sample(lat);
     }
     const unsigned slane = laneOf(src);
-    Channel *ch = chans_[slane].find(key(src, dst));
-    fugu_assert(ch);
     if (!parallel_ || slane == dlane) {
+        Channel *ch = chans_[slane].find(key(src, dst));
+        fugu_assert(ch);
         releaseChannel(*ch, words);
     } else {
-        // The channel (and any blocked sender waiting on it)
-        // belongs to the source's lane; defer to the weave.
+        // The channel (and any blocked sender waiting on it) belongs
+        // to the source's lane, whose thread may be growing that
+        // lane's table right now: never look it up from here. The
+        // weave finds it by key once every lane has stopped.
         releases_[dlane].push_back(Release{slane, key(src, dst), words});
     }
 }

@@ -92,6 +92,21 @@ struct NetworkConfig
     unsigned channelCapacityWords = 64;
 };
 
+/** Occupancy and probe lengths of a Network's channel tables. */
+struct ChannelTableHealth
+{
+    std::size_t channels = 0;
+    std::size_t capacity = 0;
+    std::size_t maxProbe = 0;
+    std::size_t totalProbe = 0; ///< summed over every channel
+
+    double
+    meanProbe() const
+    {
+        return channels ? static_cast<double>(totalProbe) / channels : 0.0;
+    }
+};
+
 /** Register NetworkConfig's fields on the scenario/config tree. */
 void bindConfig(sim::Binder &b, NetworkConfig &c);
 
@@ -202,6 +217,14 @@ class Network
     /** Attach a packet-lifecycle watcher (the invariant checker). */
     void setWatcher(PacketWatcher *watcher) { watcher_ = watcher; }
 
+    /**
+     * Channel-table health summed over every lane: how many (src,dst)
+     * channels exist, the slots holding them, and how many slots a
+     * lookup of an existing channel probes (1 = found at its home
+     * slot). Read-only diagnostics; serial contexts only.
+     */
+    ChannelTableHealth channelTableHealth() const;
+
     /** Dimension-ordered mesh hop count between two nodes. */
     unsigned hops(NodeId a, NodeId b) const;
 
@@ -283,6 +306,9 @@ class Network
 
         bool empty() const { return size_ == 0; }
 
+        /** Fold this table's occupancy into @p h (diagnostics). */
+        void addHealth(ChannelTableHealth &h) const;
+
       private:
         struct Slot
         {
@@ -291,17 +317,22 @@ class Network
             Channel ch;
         };
 
-        static std::size_t
-        hash(ChannelKey k)
+        /**
+         * Home slot: Fibonacci hashing over the full 64-bit product,
+         * keeping its top log2(capacity) bits, so every slot of the
+         * table is reachable and adjacent node pairs spread out.
+         */
+        std::size_t
+        hash(ChannelKey k) const
         {
-            // Fibonacci scrambling: adjacent node pairs spread out.
-            return (k * 0x9e3779b9u) >> 16;
+            return (std::uint64_t{k} * 0x9e3779b97f4a7c15ull) >> shift_;
         }
 
         void grow();
 
         std::vector<Slot> slots_; // power-of-2 size
         std::size_t size_ = 0;
+        unsigned shift_ = 64;     // 64 - log2(slots_.size()); set by grow
     };
 
     /** A cross-lane packet awaiting the weave commit. */

@@ -4,7 +4,10 @@
  * storm with zero invariant violations, the injector is off by
  * default and inert at zero rates, and a faulted run is bit-for-bit
  * deterministic — same seed, same stats, same trace bytes —
- * whatever FUGU_THREADS is set to.
+ * whatever FUGU_THREADS is set to. Plus the checker's own mutation
+ * tests: a deliberately leaked frame is caught within one sweep
+ * window and by the final check, and the dirty-node sweep reports
+ * exactly what a sweep over every node does.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/adversary.hh"
 #include "apps/common.hh"
 #include "core/arch.hh"
 #include "glaze/machine.hh"
@@ -283,6 +287,206 @@ TEST(FaultTest, StormIndependentOfWorkerThreads)
     std::remove((p1 + ".json").c_str());
     std::remove(p4.c_str());
     std::remove((p4 + ".json").c_str());
+}
+
+// ---------------------------------------------------------------------
+// Conservation sweeps: mutation and full-vs-dirty agreement
+// ---------------------------------------------------------------------
+
+/** Step a serial machine one cycle at a time until @p done. */
+template <typename Pred>
+void
+stepUntil(Machine &m, const Job *job, Pred done)
+{
+    while (!done() && !job->done())
+        m.run(m.now() + 1);
+}
+
+TEST(ConservationLeakTest, SweepCatchesLeakWithinOneWindow)
+{
+    // A synth run on the fast path: after start-up no node allocates
+    // or frees a frame, so a leaked frame is the only change the
+    // leaking node's books ever see. The dirty mark set by the leak
+    // itself must bring that node into the next periodic sweep.
+    MachineConfig cfg;
+    cfg.nodes = 16;
+    cfg.seed = 7;
+    harness::Workloads wl;
+    wl.synth.groups = 8;
+    Machine m(cfg);
+    Job *job = m.addJob("synth", wl.factory("synth")(cfg.nodes, cfg.seed));
+    m.installJob(job);
+    const InvariantChecker::Stats &st = m.checker()->stats;
+    const std::uint64_t window = cfg.check.sweepEvery;
+    ASSERT_GT(window, 0u);
+
+    stepUntil(m, job, [&] { return st.checkedDeliveries.value() >= 500; });
+    ASSERT_FALSE(job->done()) << "workload too short to leak mid-run";
+    EXPECT_EQ(st.conservationViolations.value(), 0.0);
+
+    constexpr NodeId kLeakNode = 5;
+    FramePool &frames = m.node(kLeakNode).frames;
+    ASSERT_TRUE(frames.tryAllocate()); // no owner: a leak
+    const double allocs_at_leak = frames.stats.allocations.value();
+    const double checked_at_leak = st.checkedDeliveries.value();
+
+    stepUntil(m, job, [&] {
+        return st.checkedDeliveries.value() - checked_at_leak >=
+               static_cast<double>(window);
+    });
+    ASSERT_FALSE(job->done()) << "run ended inside the sweep window";
+    EXPECT_GT(st.conservationViolations.value(), 0.0)
+        << "leak not caught within one sweep_every window";
+
+    ASSERT_TRUE(m.runUntilDone(job));
+    // The premise: nothing else touched the leaking node's pool.
+    EXPECT_EQ(frames.stats.allocations.value(), allocs_at_leak);
+    EXPECT_GT(m.checker()->totalViolations(), 0.0);
+}
+
+TEST(ConservationLeakTest, FinalChecksCatchLeakWithoutPeriodicSweeps)
+{
+    MachineConfig cfg;
+    cfg.nodes = 16;
+    cfg.seed = 7;
+    cfg.check.sweepEvery = 0;
+    harness::Workloads wl;
+    wl.synth.groups = 8;
+    Machine m(cfg);
+    Job *job = m.addJob("synth", wl.factory("synth")(cfg.nodes, cfg.seed));
+    m.installJob(job);
+    const InvariantChecker::Stats &st = m.checker()->stats;
+    stepUntil(m, job, [&] { return st.checkedDeliveries.value() >= 500; });
+    ASSERT_FALSE(job->done());
+    ASSERT_TRUE(m.node(5).frames.tryAllocate());
+    ASSERT_TRUE(m.runUntilDone(job));
+    EXPECT_EQ(st.conservationViolations.value(), 1.0);
+}
+
+/** Everything the conservation sweep reports, for one run. */
+struct SweepReport
+{
+    bool completed = false;
+    double checked = 0;
+    double conservation = 0;
+    double isolation = 0;
+    double maxFrameShare = 0;
+    double total = 0;
+    std::vector<InvariantChecker::GidIsolation> gids; ///< per job
+};
+
+/**
+ * Gang-schedule @p jobs (the first is the measured one) and report
+ * the checker's sweep results, sweeping every node each time when
+ * @p sweep_all. A non-zero @p leak_at leaks one frame on node 1 at
+ * that cycle.
+ */
+SweepReport
+runSweeps(const MachineConfig &cfg, const std::vector<AppBody> &jobs,
+          bool sweep_all, Cycle leak_at)
+{
+    Machine m(cfg);
+    m.checker()->setSweepAllNodes(sweep_all);
+    std::vector<Job *> handles;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        handles.push_back(m.addJob("job" + std::to_string(i), jobs[i]));
+    if (leak_at)
+        m.queueFor(1).scheduleFn(
+            [&m] { (void)m.node(1).frames.tryAllocate(); }, leak_at,
+            "leak");
+    GangConfig g;
+    g.quantum = 20000;
+    g.skew = 0.3;
+    m.startGang(g);
+
+    SweepReport r;
+    r.completed = m.runUntilDone(handles[0], 400000000ull);
+    const InvariantChecker &c = *m.checker();
+    r.checked = c.stats.checkedDeliveries.value();
+    r.conservation = c.stats.conservationViolations.value();
+    r.isolation = c.stats.isolationViolations.value();
+    r.maxFrameShare = c.stats.maxFrameShare.value();
+    r.total = c.totalViolations();
+    for (const Job *j : handles)
+        r.gids.push_back(c.isolation(j->gid()));
+    return r;
+}
+
+void
+expectSameReport(const SweepReport &dirty, const SweepReport &full)
+{
+    EXPECT_EQ(dirty.completed, full.completed);
+    EXPECT_EQ(dirty.checked, full.checked);
+    EXPECT_EQ(dirty.conservation, full.conservation);
+    EXPECT_EQ(dirty.isolation, full.isolation);
+    EXPECT_EQ(dirty.maxFrameShare, full.maxFrameShare);
+    EXPECT_EQ(dirty.total, full.total);
+    ASSERT_EQ(dirty.gids.size(), full.gids.size());
+    for (std::size_t i = 0; i < full.gids.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        EXPECT_EQ(dirty.gids[i].framePeak, full.gids[i].framePeak);
+        EXPECT_EQ(dirty.gids[i].frameShareMax, full.gids[i].frameShareMax);
+        EXPECT_EQ(dirty.gids[i].serviceGapMax, full.gids[i].serviceGapMax);
+        EXPECT_EQ(dirty.gids[i].direct, full.gids[i].direct);
+        EXPECT_EQ(dirty.gids[i].buffered, full.gids[i].buffered);
+    }
+}
+
+TEST_P(FaultStormTest, DirtySweepAgreesWithFullSweep)
+{
+    // The storm shape above, with and without a leaked frame, serial
+    // and sharded: the dirty-node sweep must count every violation
+    // and watermark exactly as sweeping every node does.
+    harness::Workloads wl;
+    wl.barrier.barriers = 300;
+    for (unsigned shards : {1u, 2u}) {
+        for (Cycle leak_at : {Cycle{0}, Cycle{60000}}) {
+            SCOPED_TRACE("shards " + std::to_string(shards) + " leak@" +
+                         std::to_string(leak_at));
+            MachineConfig cfg = stormConfig(GetParam());
+            cfg.parShards = shards;
+            const std::vector<AppBody> jobs = {
+                wl.factory("barrier")(cfg.nodes, cfg.seed),
+                apps::makeNullApp()};
+            const SweepReport dirty = runSweeps(cfg, jobs, false, leak_at);
+            const SweepReport full = runSweeps(cfg, jobs, true, leak_at);
+            ASSERT_TRUE(full.completed);
+            expectSameReport(dirty, full);
+            if (!leak_at) {
+                EXPECT_EQ(full.total, 0.0);
+            }
+        }
+    }
+}
+
+TEST(ConservationAgreementTest, FrameShareJudgeAgreesWithFullSweep)
+{
+    // test_isolation's frame-share judge: an abuser squatting vbuf
+    // pages next to a barrier victim, with a share limit every held
+    // frame exceeds. Each sweep re-reports every standing excess, so
+    // the count is a direct measure of which nodes each sweep saw.
+    MachineConfig cfg;
+    cfg.nodes = 4;
+    cfg.seed = 11;
+    cfg.check.frameShareLimit = 1e-6;
+    harness::Workloads wl;
+    wl.barrier.barriers = 400;
+    apps::AbuserAppConfig abuser;
+    abuser.messages = 150;
+    abuser.warmup = 30000;
+    for (unsigned shards : {1u, 2u}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        cfg.parShards = shards;
+        const std::vector<AppBody> jobs = {
+            wl.factory("barrier")(cfg.nodes, cfg.seed),
+            apps::makeAbuserApp(cfg.nodes, abuser)};
+        const SweepReport dirty = runSweeps(cfg, jobs, false, 0);
+        const SweepReport full = runSweeps(cfg, jobs, true, 0);
+        ASSERT_TRUE(full.completed);
+        EXPECT_GT(full.isolation, 0.0);
+        EXPECT_GT(full.gids[1].framePeak, 0u);
+        expectSameReport(dirty, full);
+    }
 }
 
 } // namespace

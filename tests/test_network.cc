@@ -218,4 +218,89 @@ TEST_F(NetworkTest, InterleavedChannelsDeliverByArrivalTime)
     EXPECT_EQ(sinks[1].q[1].payload[0], 33u);
 }
 
+/** Sink that accepts and counts every arrival. */
+struct CountingSink : NetSink
+{
+    bool
+    tryDeliver(Packet &&) override
+    {
+        ++delivered;
+        return true;
+    }
+
+    std::size_t delivered = 0;
+};
+
+TEST(ChannelMapTest, AllPairsOn512NodesKeepsProbesShort)
+{
+    // Every (src,dst) pair of a 512-node mesh holds a channel at once:
+    // 512 * 511 = 261,632 entries in one table. A home-slot hash that
+    // reached only part of the table would cluster them into probe
+    // chains tens of thousands of slots long (and this test would run
+    // for minutes); a full-width hash keeps every lookup short.
+    constexpr unsigned kNodes = 512;
+    NetworkConfig cfg;
+    cfg.meshX = 32;
+    cfg.meshY = 16;
+    EventQueue eq;
+    StatGroup stats("test");
+    Network net(eq, cfg, "net", &stats);
+    std::vector<CountingSink> sinks(kNodes);
+    for (NodeId n = 0; n < kNodes; ++n)
+        net.attach(n, &sinks[n]);
+
+    // One message per pair through the public path. Each source's
+    // burst is delivered before the next source sends, so the event
+    // queue stays small while the channel table fills up.
+    std::size_t sent = 0;
+    for (NodeId src = 0; src < kNodes; ++src) {
+        for (NodeId dst = 0; dst < kNodes; ++dst) {
+            if (dst == src)
+                continue;
+            Packet p;
+            p.src = src;
+            p.dst = dst;
+            p.payload = {src, dst};
+            ASSERT_TRUE(net.canAccept(src, dst, p.size()));
+            net.send(p);
+            ++sent;
+        }
+        eq.run();
+    }
+
+    std::size_t delivered = 0;
+    for (const CountingSink &s : sinks)
+        delivered += s.delivered;
+    EXPECT_EQ(delivered, sent);
+
+    const ChannelTableHealth h = net.channelTableHealth();
+    EXPECT_EQ(h.channels, std::size_t{kNodes} * (kNodes - 1));
+    EXPECT_GE(h.capacity, h.channels);
+    EXPECT_LE(h.maxProbe, 32u);
+    EXPECT_LT(h.meanProbe(), 2.0);
+
+    // Every channel released its words: each can take a full
+    // channel's worth again.
+    for (NodeId src = 0; src < kNodes; ++src) {
+        for (NodeId dst = 0; dst < kNodes; ++dst) {
+            if (dst != src) {
+                ASSERT_TRUE(
+                    net.canAccept(src, dst, cfg.channelCapacityWords))
+                    << src << "->" << dst;
+            }
+        }
+    }
+}
+
+TEST(ChannelMapTest, EmptyNetworkReportsEmptyTable)
+{
+    EventQueue eq;
+    StatGroup stats("test");
+    Network net(eq, NetworkConfig{}, "net", &stats);
+    const ChannelTableHealth h = net.channelTableHealth();
+    EXPECT_EQ(h.channels, 0u);
+    EXPECT_EQ(h.maxProbe, 0u);
+    EXPECT_EQ(h.meanProbe(), 0.0);
+}
+
 } // namespace

@@ -5,7 +5,9 @@
  * whatever FUGU_THREADS is, the parallel engine agrees with the
  * serial one on everything the application semantically produced,
  * fault storms survive sharding with zero invariant violations, and
- * the lookahead derivation/clamping behaves as documented.
+ * the lookahead derivation/clamping behaves as documented. Every
+ * sharded test runs at explicit FUGU_THREADS values, never the
+ * host's default.
  */
 
 #include <gtest/gtest.h>
@@ -146,14 +148,25 @@ TEST(ParallelEngineTest, OneShardReplayIsBitExact)
     EXPECT_EQ(a.events, b.events);
 }
 
+/**
+ * Worker-thread counts every sharded test runs at, set explicitly so
+ * a result never depends on the host's core count: one thread runs
+ * the shards in turn, four run them concurrently.
+ */
+constexpr const char *kThreadCounts[] = {"1", "4"};
+
 TEST(ParallelEngineTest, FixedShardCountIsDeterministic)
 {
     const MachineConfig cfg = meshConfig(16, 4);
-    const RunStats a = runSynth(cfg);
-    const RunStats b = runSynth(cfg);
-    ASSERT_TRUE(a.completed);
-    EXPECT_TRUE(a == b);
-    EXPECT_EQ(a.events, b.events);
+    for (const char *threads : kThreadCounts) {
+        SCOPED_TRACE(std::string("FUGU_THREADS=") + threads);
+        ThreadsEnv env(threads);
+        const RunStats a = runSynth(cfg);
+        const RunStats b = runSynth(cfg);
+        ASSERT_TRUE(a.completed);
+        EXPECT_TRUE(a == b);
+        EXPECT_EQ(a.events, b.events);
+    }
 }
 
 TEST(ParallelEngineTest, DeterministicAcrossThreadCounts)
@@ -182,13 +195,18 @@ TEST(ParallelEngineTest, AgreesWithSerialOracleSemantics)
     // the application semantically produced must agree: completion,
     // message count, total deliveries, zero violations.
     const RunStats serial = runSynth(meshConfig(16, 1));
-    const RunStats par = runSynth(meshConfig(16, 4));
     ASSERT_TRUE(serial.completed);
-    ASSERT_TRUE(par.completed);
-    EXPECT_EQ(serial.sent, par.sent);
-    EXPECT_EQ(serial.direct + serial.buffered, par.direct + par.buffered);
     EXPECT_EQ(serial.violations, 0.0);
-    EXPECT_EQ(par.violations, 0.0);
+    for (const char *threads : kThreadCounts) {
+        SCOPED_TRACE(std::string("FUGU_THREADS=") + threads);
+        ThreadsEnv env(threads);
+        const RunStats par = runSynth(meshConfig(16, 4));
+        ASSERT_TRUE(par.completed);
+        EXPECT_EQ(serial.sent, par.sent);
+        EXPECT_EQ(serial.direct + serial.buffered,
+                  par.direct + par.buffered);
+        EXPECT_EQ(par.violations, 0.0);
+    }
 }
 
 TEST(ParallelEngineTest, GangScheduledStormSurvivesSharding)
@@ -206,43 +224,53 @@ TEST(ParallelEngineTest, GangScheduledStormSurvivesSharding)
     cfg.fault.divertStormProb = 0.15;
     cfg.fault.atomTimeoutProb = 0.15;
     cfg.fault.pageFaultProb = 0.03;
-    const RunStats r = runStorm(cfg);
-    ASSERT_TRUE(r.completed) << "storm wedged the sharded machine";
-    EXPECT_EQ(r.violations, 0.0);
-    EXPECT_GT(r.faultEvents, 0.0);
+    for (const char *threads : kThreadCounts) {
+        SCOPED_TRACE(std::string("FUGU_THREADS=") + threads);
+        ThreadsEnv env(threads);
+        const RunStats r = runStorm(cfg);
+        ASSERT_TRUE(r.completed) << "storm wedged the sharded machine";
+        EXPECT_EQ(r.violations, 0.0);
+        EXPECT_GT(r.faultEvents, 0.0);
 
-    const RunStats replay = runStorm(cfg);
-    EXPECT_TRUE(r == replay) << "sharded storm is not reproducible";
-    EXPECT_EQ(r.events, replay.events);
+        const RunStats replay = runStorm(cfg);
+        EXPECT_TRUE(r == replay) << "sharded storm is not reproducible";
+        EXPECT_EQ(r.events, replay.events);
+    }
 }
 
 TEST(ParallelEngineTest, TracedParallelRunMergesDeterministically)
 {
     MachineConfig cfg = meshConfig(16, 4);
     cfg.trace.enabled = true;
-    const RunStats a = runSynth(cfg);
-    const RunStats b = runSynth(cfg);
-    ASSERT_TRUE(a.completed);
-    EXPECT_TRUE(a == b);
+    for (const char *threads : kThreadCounts) {
+        SCOPED_TRACE(std::string("FUGU_THREADS=") + threads);
+        ThreadsEnv env(threads);
+        const RunStats a = runSynth(cfg);
+        const RunStats b = runSynth(cfg);
+        ASSERT_TRUE(a.completed);
+        EXPECT_TRUE(a == b);
+    }
 }
 
 TEST(ParallelEngineTest, FourKNodeMeshConstructsAndRuns)
 {
     // The satellite-5 bounds audit in executable form: a 4096-node
     // machine (the largest mesh the scenarios exercise) constructs,
-    // shards, and completes a small all-nodes workload.
-    MachineConfig cfg = meshConfig(4096, 8);
-    // Periodic conservation sweeps are O(nodes * processes); at 4096
-    // nodes they dominate a short run, so sweep only at the end.
-    cfg.check.sweepEvery = 0;
+    // shards, and completes a small all-nodes workload with the
+    // invariant checker's periodic sweeps on.
+    const MachineConfig cfg = meshConfig(4096, 8);
     harness::Workloads wl;
     wl.barrier.barriers = 2;
-    const RunStats r =
-        harness::runJob(cfg, wl.factory("barrier"),
-                        /*with_null=*/false, /*gang=*/false, {});
-    ASSERT_TRUE(r.completed);
-    EXPECT_EQ(r.violations, 0.0);
-    EXPECT_GT(r.sent, 0u);
+    for (const char *threads : kThreadCounts) {
+        SCOPED_TRACE(std::string("FUGU_THREADS=") + threads);
+        ThreadsEnv env(threads);
+        const RunStats r =
+            harness::runJob(cfg, wl.factory("barrier"),
+                            /*with_null=*/false, /*gang=*/false, {});
+        ASSERT_TRUE(r.completed);
+        EXPECT_EQ(r.violations, 0.0);
+        EXPECT_GT(r.sent, 0u);
+    }
 }
 
 } // namespace
