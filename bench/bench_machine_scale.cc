@@ -99,7 +99,7 @@ main(int argc, char **argv)
 {
     const bool quick = std::getenv("FUGU_QUICK") != nullptr;
     std::string appsCsv = "synth";
-    std::string nodesCsv = quick ? "64,256" : "64,256,1024";
+    std::string nodesCsv = "64,256,1024";
     std::string shardsCsv = quick ? "1,4" : "1,2,4,8";
     unsigned groups = 2;  // synchronization groups per node
     unsigned requests = quick ? 20 : 50; // requests per group

@@ -76,19 +76,14 @@ InvariantChecker::addProcess(Process &p)
 std::uint64_t
 InvariantChecker::checksum(const net::Packet &pkt)
 {
-    // FNV-1a over everything user code can observe about the message.
+    // FNV-style, one step per whole word, over everything user code
+    // can observe about the message. Each step is a bijection in both
+    // h and w, and the header packs are injective, so changing any one
+    // header field or payload word always changes the result.
     std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    mix(pkt.src);
-    mix(pkt.dst);
-    mix(pkt.gid);
-    mix(pkt.handler);
-    mix(pkt.payload.size());
+    auto mix = [&h](std::uint64_t w) { h = (h ^ w) * 0x100000001b3ull; };
+    mix(streamKey(pkt.src, pkt.dst, pkt.gid));
+    mix((std::uint64_t{pkt.handler} << 32) | pkt.payload.size());
     for (Word w : pkt.payload)
         mix(w);
     return h;
@@ -115,13 +110,14 @@ InvariantChecker::onInject(const net::Packet &pkt)
         return;
     auto lock = lockIfParallel();
     const std::uint64_t key = streamKey(pkt.src, pkt.dst, pkt.gid);
-    pending_.emplace(pkt.seq,
-                     PendingMsg{cfg_.content ? checksum(pkt) : 0,
-                                sendIdx_[key]++});
+    Stream &st = streams_.getOrCreate(key);
+    ++st.live;
+    pending_.getOrCreate(pkt.seq) =
+        PendingMsg{cfg_.content ? checksum(pkt) : 0, st.send++, key};
     // Starvation clock: the GID now has traffic pending; if it had
     // none before, gaps measure from this inject, so idle tenants
     // accrue nothing.
-    GidState &g = gids_[pkt.gid];
+    GidState &g = gidState(pkt.gid);
     if (g.pending++ == 0)
         g.pendingSince = m_.checkTime();
 }
@@ -144,36 +140,39 @@ InvariantChecker::onDeliver(const net::Packet &pkt, NodeId node,
                detail::concat("packet for node ", pkt.dst,
                          " consumed on node ", node));
 
-    noteService(gids_[pkt.gid], pkt.gid, m_.checkTime(),
+    noteService(gidState(pkt.gid), pkt.gid, m_.checkTime(),
                 buffered_path);
 
-    auto it = pending_.find(pkt.seq);
-    if (it == pending_.end()) {
+    const PendingMsg *found = pending_.find(pkt.seq);
+    if (!found) {
         report(stats.unknownDeliveries,
                detail::concat("seq ", pkt.seq, " consumed on node ", node,
                          " was never injected (or consumed twice)"));
         return;
     }
 
-    const std::uint64_t key = streamKey(pkt.src, pkt.dst, pkt.gid);
-    std::uint64_t &expect = consumeIdx_[key];
-    if (it->second.orderIdx != expect)
+    // Copy out: the erase below moves table entries.
+    const PendingMsg pm = *found;
+    // Order is checked on the stream the message was injected on, so
+    // a delivery with a corrupted header is a content violation, not
+    // also a FIFO violation on whatever stream the header now names.
+    Stream &st = *streams_.find(pm.stream);
+    const std::uint64_t expect = st.consume;
+    if (pm.orderIdx != expect)
         report(stats.fifoViolations,
                detail::concat("stream (", pkt.src, "->", pkt.dst, ", gid ",
-                         pkt.gid, ") consumed message #",
-                         it->second.orderIdx, " but #", expect,
-                         " was next",
+                         pkt.gid, ") consumed message #", pm.orderIdx,
+                         " but #", expect, " was next",
                          buffered_path ? " (buffered)" : " (direct)"));
-    if (it->second.orderIdx >= expect)
-        expect = it->second.orderIdx + 1;
 
-    if (cfg_.content && it->second.checksum != checksum(pkt))
+    if (cfg_.content && pm.checksum != checksum(pkt))
         report(stats.contentViolations,
                detail::concat("seq ", pkt.seq, " payload changed between ",
                          "inject and consume (stream ", pkt.src, "->",
                          pkt.dst, ")"));
 
-    pending_.erase(it);
+    pending_.erase(pkt.seq);
+    retire(st, pm);
     ++stats.checkedDeliveries;
 
     ++deliveries_;
@@ -206,18 +205,25 @@ InvariantChecker::onDrop(const net::Packet &pkt, NodeId node)
     // A kernel-policy drop (no process owns the GID here) retires the
     // message's slot in its stream so later deliveries — if a process
     // does own the GID elsewhere in time — still FIFO-check cleanly.
-    auto it = pending_.find(pkt.seq);
-    if (it == pending_.end())
+    const PendingMsg *found = pending_.find(pkt.seq);
+    if (!found)
         return;
-    const std::uint64_t key = streamKey(pkt.src, pkt.dst, pkt.gid);
-    std::uint64_t &expect = consumeIdx_[key];
-    if (it->second.orderIdx >= expect)
-        expect = it->second.orderIdx + 1;
-    pending_.erase(it);
+    const PendingMsg pm = *found;
+    pending_.erase(pkt.seq);
+    retire(*streams_.find(pm.stream), pm);
     // The dropped message no longer waits for service.
-    GidState &g = gids_[pkt.gid];
+    GidState &g = gidState(pkt.gid);
     if (g.pending && --g.pending == 0)
         g.pendingSince = 0;
+}
+
+void
+InvariantChecker::retire(Stream &st, const PendingMsg &pm)
+{
+    if (pm.orderIdx >= st.consume)
+        st.consume = pm.orderIdx + 1;
+    if (--st.live == 0)
+        streams_.erase(pm.stream);
 }
 
 void
@@ -296,8 +302,7 @@ InvariantChecker::GidIsolation
 InvariantChecker::isolation(Gid gid) const
 {
     auto lock = lockIfParallel();
-    const auto it = gids_.find(gid);
-    return it == gids_.end() ? GidIsolation{} : it->second.iso;
+    return gid < gids_.size() ? gids_[gid].iso : GidIsolation{};
 }
 
 void
@@ -340,7 +345,7 @@ InvariantChecker::sweepNode(NodeId n)
     for (Process *proc : nodeProcs_[n]) {
         const unsigned held =
             proc->vbuf().pagesResident() + proc->as().mappedPages();
-        GidState &g = gids_[proc->gid()];
+        GidState &g = gidState(proc->gid());
         if (held > g.iso.framePeak)
             g.iso.framePeak = held;
         const double share = static_cast<double>(held) / total;

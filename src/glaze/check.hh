@@ -37,10 +37,10 @@
 
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -142,6 +142,22 @@ class InvariantChecker final : public net::PacketWatcher
     /** Total violations of any class seen so far. */
     double totalViolations() const;
 
+    /** Messages injected and not yet consumed or dropped. */
+    std::size_t
+    inFlight() const
+    {
+        auto lock = lockIfParallel();
+        return pending_.size();
+    }
+
+    /** Streams with at least one message in flight. */
+    std::size_t
+    liveStreams() const
+    {
+        auto lock = lockIfParallel();
+        return streams_.size();
+    }
+
     /**
      * Per-GID isolation metrics, accumulated alongside the
      * transparency checks (adversarial-neighbor reporting).
@@ -220,7 +236,31 @@ class InvariantChecker final : public net::PacketWatcher
     {
         std::uint64_t checksum;
         std::uint64_t orderIdx; ///< position within its stream
+        std::uint64_t stream;   ///< streamKey at injection
     };
+
+    /**
+     * Order bookkeeping of one (src,dst,gid) stream. Exists only
+     * while the stream has messages in flight: it is erased when
+     * @c live drops to 0, at which point send == consume, so a
+     * restarted stream counting from 0 again checks identically.
+     * Not erased merely because send == consume — a later message
+     * consumed early makes that true while earlier ones are still
+     * pending, and forgetting them would hide the FIFO violation.
+     */
+    struct Stream
+    {
+        std::uint64_t send = 0;    ///< next order index to assign
+        std::uint64_t consume = 0; ///< next order index expected
+        std::uint64_t live = 0;    ///< injected, not consumed/dropped
+    };
+
+    /**
+     * Retire pending message @p pm (consumed or dropped) from its
+     * stream @p st: advance the consume index past it and erase the
+     * stream once it has nothing in flight.
+     */
+    void retire(Stream &st, const PendingMsg &pm);
 
     /** Live per-GID starvation/occupancy bookkeeping. */
     struct GidState
@@ -238,14 +278,22 @@ class InvariantChecker final : public net::PacketWatcher
     CheckConfig cfg_;
 
     /** In-flight user messages, keyed by injection seq. */
-    std::unordered_map<std::uint64_t, PendingMsg> pending_;
+    sim::FlatMap<PendingMsg> pending_;
 
-    /** Next order index to assign / expect, per stream. */
-    std::unordered_map<std::uint64_t, std::uint64_t> sendIdx_;
-    std::unordered_map<std::uint64_t, std::uint64_t> consumeIdx_;
+    /** Streams with messages in flight, keyed by streamKey. */
+    sim::FlatMap<Stream> streams_;
 
-    /** Isolation/starvation metrics per application GID. */
-    std::unordered_map<Gid, GidState> gids_;
+    /** Isolation/starvation metrics, indexed by application GID. */
+    std::vector<GidState> gids_;
+
+    /** gids_[gid], growing the table on first sight of @p gid. */
+    GidState &
+    gidState(Gid gid)
+    {
+        if (gid >= gids_.size())
+            gids_.resize(std::size_t{gid} + 1);
+        return gids_[gid];
+    }
 
     /** Processes per node, in creation order (the sweep's index). */
     std::vector<std::vector<Process *>> nodeProcs_;

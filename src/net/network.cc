@@ -87,58 +87,6 @@ Network::latency(NodeId src, NodeId dst, unsigned words) const
            cfg_.perWord * words;
 }
 
-Network::Channel &
-Network::ChannelMap::getOrCreate(ChannelKey k)
-{
-    // Grow at ~70% load so probe chains stay short.
-    if (slots_.empty() || (size_ + 1) * 10 >= slots_.size() * 7)
-        grow();
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(k);; ++i) {
-        Slot &s = slots_[i & mask];
-        if (!s.used) {
-            s.used = true;
-            s.key = k;
-            ++size_;
-            return s.ch;
-        }
-        if (s.key == k)
-            return s.ch;
-    }
-}
-
-void
-Network::ChannelMap::grow()
-{
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
-    shift_ = old.empty() ? 60 : shift_ - 1;
-    const std::size_t mask = slots_.size() - 1;
-    for (Slot &s : old) {
-        if (!s.used)
-            continue;
-        std::size_t i = hash(s.key);
-        while (slots_[i & mask].used)
-            ++i;
-        slots_[i & mask] = s;
-    }
-}
-
-void
-Network::ChannelMap::addHealth(ChannelTableHealth &h) const
-{
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i].used)
-            continue;
-        const std::size_t probe = ((i - hash(slots_[i].key)) & mask) + 1;
-        h.maxProbe = std::max(h.maxProbe, probe);
-        h.totalProbe += probe;
-    }
-    h.channels += size_;
-    h.capacity += slots_.size();
-}
-
 ChannelTableHealth
 Network::channelTableHealth() const
 {
@@ -341,9 +289,7 @@ Network::accountDelivery(unsigned dlane, NodeId src, NodeId dst,
     }
     const unsigned slane = laneOf(src);
     if (!parallel_ || slane == dlane) {
-        Channel *ch = chans_[slane].find(key(src, dst));
-        fugu_assert(ch);
-        releaseChannel(*ch, words);
+        releaseChannel(slane, key(src, dst), words);
     } else {
         // The channel (and any blocked sender waiting on it) belongs
         // to the source's lane, whose thread may be growing that
@@ -362,11 +308,8 @@ Network::weave()
     // sender may stage more packets, which the commit pass below then
     // picks up in the same weave.
     for (auto &rl : releases_) {
-        for (const Release &r : rl) {
-            Channel *ch = chans_[r.srcLane].find(r.key);
-            fugu_assert(ch);
-            releaseChannel(*ch, r.words);
-        }
+        for (const Release &r : rl)
+            releaseChannel(r.srcLane, r.key, r.words);
         rl.clear();
     }
     // Bulk scheduleAt: pre-size each destination queue's pools so the
@@ -426,18 +369,28 @@ Network::onSinkSpaceFreed(NodeId dst)
 }
 
 void
-Network::releaseChannel(Channel &ch, unsigned words)
+Network::releaseChannel(unsigned lane, ChannelKey k, unsigned words)
 {
-    fugu_assert(ch.wordsInFlight >= words);
-    ch.wordsInFlight -= words;
-    SpaceWaiter *w = ch.waitHead;
-    if (!w)
-        return;
-    ch.waitHead = nullptr;
-    ch.waitTail = nullptr;
+    ChannelMap &chans = chans_[lane];
+    Channel *ch = chans.find(k);
+    fugu_assert(ch && ch->wordsInFlight >= words);
+    ch->wordsInFlight -= words;
+    SpaceWaiter *w = ch->waitHead;
+    // Detach the waiters, then drop a drained channel: the table holds
+    // only live channels. Recreating it later cannot change timing —
+    // its lastArrival is <= now, and a new send's ready time is at
+    // least now + perWord * words, so the FIFO clamp never binds on a
+    // fresh channel (DESIGN §13).
+    if (ch->wordsInFlight == 0) {
+        chans.erase(k);
+    } else {
+        ch->waitHead = nullptr;
+        ch->waitTail = nullptr;
+    }
     // `ch` must not be touched past this point: a woken sender may
-    // re-enter send()/subscribeSpace() and grow the channel map,
-    // invalidating the reference. Waiters run in subscribe order.
+    // re-enter send()/subscribeSpace() and recreate or grow the
+    // channel map, invalidating the pointer. Waiters run in subscribe
+    // order.
     while (w) {
         SpaceWaiter *next = w->nextWaiter_;
         w->nextWaiter_ = nullptr;

@@ -28,6 +28,7 @@
 
 #include "net/packet.hh"
 #include "sim/event.hh"
+#include "sim/flat_map.hh"
 #include "sim/ring.hh"
 #include "sim/shard.hh"
 #include "sim/stats.hh"
@@ -93,19 +94,7 @@ struct NetworkConfig
 };
 
 /** Occupancy and probe lengths of a Network's channel tables. */
-struct ChannelTableHealth
-{
-    std::size_t channels = 0;
-    std::size_t capacity = 0;
-    std::size_t maxProbe = 0;
-    std::size_t totalProbe = 0; ///< summed over every channel
-
-    double
-    meanProbe() const
-    {
-        return channels ? static_cast<double>(totalProbe) / channels : 0.0;
-    }
-};
+using ChannelTableHealth = sim::TableHealth;
 
 /** Register NetworkConfig's fields on the scenario/config tree. */
 void bindConfig(sim::Binder &b, NetworkConfig &c);
@@ -219,9 +208,10 @@ class Network
 
     /**
      * Channel-table health summed over every lane: how many (src,dst)
-     * channels exist, the slots holding them, and how many slots a
-     * lookup of an existing channel probes (1 = found at its home
-     * slot). Read-only diagnostics; serial contexts only.
+     * channels are live (words in flight or senders blocked), the
+     * slots holding them, and how many slots a lookup of an existing
+     * channel probes (1 = found at its home slot). Read-only
+     * diagnostics; serial contexts only.
      */
     ChannelTableHealth channelTableHealth() const;
 
@@ -270,70 +260,12 @@ class Network
     };
 
     /**
-     * Open-addressing (src,dst) -> Channel map. Channels are created
-     * once per communicating pair and then only looked up, which a
-     * node-based std::map punishes with a pointer chase per level on
-     * the per-message send/drain path; linear probing over a flat
-     * power-of-2 table makes the lookup one or two cache lines.
-     * Never iterated, so table order can't leak into simulation order.
-     * References are invalidated by getOrCreate (growth).
+     * (src,dst) -> Channel. A channel exists only while it has words
+     * in flight or blocked senders: send() creates it, the release
+     * that drains it erases it (DESIGN §13). Lookups on the
+     * per-message path are one or two cache lines.
      */
-    class ChannelMap
-    {
-      public:
-        Channel *
-        find(ChannelKey k)
-        {
-            if (size_ == 0)
-                return nullptr;
-            const std::size_t mask = slots_.size() - 1;
-            for (std::size_t i = hash(k);; ++i) {
-                Slot &s = slots_[i & mask];
-                if (!s.used)
-                    return nullptr;
-                if (s.key == k)
-                    return &s.ch;
-            }
-        }
-
-        const Channel *
-        find(ChannelKey k) const
-        {
-            return const_cast<ChannelMap *>(this)->find(k);
-        }
-
-        Channel &getOrCreate(ChannelKey k);
-
-        bool empty() const { return size_ == 0; }
-
-        /** Fold this table's occupancy into @p h (diagnostics). */
-        void addHealth(ChannelTableHealth &h) const;
-
-      private:
-        struct Slot
-        {
-            ChannelKey key = 0;
-            bool used = false;
-            Channel ch;
-        };
-
-        /**
-         * Home slot: Fibonacci hashing over the full 64-bit product,
-         * keeping its top log2(capacity) bits, so every slot of the
-         * table is reachable and adjacent node pairs spread out.
-         */
-        std::size_t
-        hash(ChannelKey k) const
-        {
-            return (std::uint64_t{k} * 0x9e3779b97f4a7c15ull) >> shift_;
-        }
-
-        void grow();
-
-        std::vector<Slot> slots_; // power-of-2 size
-        std::size_t size_ = 0;
-        unsigned shift_ = 64;     // 64 - log2(slots_.size()); set by grow
-    };
+    using ChannelMap = sim::FlatMap<Channel>;
 
     /** A cross-lane packet awaiting the weave commit. */
     struct Staged
@@ -393,7 +325,11 @@ class Network
     void accountDelivery(unsigned dlane, NodeId src, NodeId dst,
                          unsigned words, Cycle injected);
 
-    void releaseChannel(Channel &ch, unsigned words);
+    /**
+     * Return @p words of channel @p k (owned by lane @p lane) and
+     * wake its blocked senders; erases the channel once it drains.
+     */
+    void releaseChannel(unsigned lane, ChannelKey k, unsigned words);
 
     EventQueue &eq_;
     NetworkConfig cfg_;

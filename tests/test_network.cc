@@ -233,11 +233,12 @@ struct CountingSink : NetSink
 
 TEST(ChannelMapTest, AllPairsOn512NodesKeepsProbesShort)
 {
-    // Every (src,dst) pair of a 512-node mesh holds a channel at once:
-    // 512 * 511 = 261,632 entries in one table. A home-slot hash that
-    // reached only part of the table would cluster them into probe
-    // chains tens of thousands of slots long (and this test would run
-    // for minutes); a full-width hash keeps every lookup short.
+    // Every (src,dst) pair of a 512-node mesh holds a live channel at
+    // once: 512 * 511 = 261,632 entries in one table. A home-slot hash
+    // that reached only part of the table would cluster them into
+    // probe chains tens of thousands of slots long (and this test
+    // would run for minutes); a full-width hash keeps every lookup
+    // short. Draining then erases every channel again.
     constexpr unsigned kNodes = 512;
     NetworkConfig cfg;
     cfg.meshX = 32;
@@ -249,9 +250,8 @@ TEST(ChannelMapTest, AllPairsOn512NodesKeepsProbesShort)
     for (NodeId n = 0; n < kNodes; ++n)
         net.attach(n, &sinks[n]);
 
-    // One message per pair through the public path. Each source's
-    // burst is delivered before the next source sends, so the event
-    // queue stays small while the channel table fills up.
+    // One message per pair through the public path, all injected
+    // before any is delivered, so every channel is live at once.
     std::size_t sent = 0;
     for (NodeId src = 0; src < kNodes; ++src) {
         for (NodeId dst = 0; dst < kNodes; ++dst) {
@@ -265,22 +265,25 @@ TEST(ChannelMapTest, AllPairsOn512NodesKeepsProbesShort)
             net.send(p);
             ++sent;
         }
-        eq.run();
     }
 
+    const ChannelTableHealth full = net.channelTableHealth();
+    EXPECT_EQ(full.entries, std::size_t{kNodes} * (kNodes - 1));
+    EXPECT_GE(full.capacity, full.entries);
+    EXPECT_LE(full.maxProbe, 32u);
+    EXPECT_LT(full.meanProbe(), 2.0);
+
+    eq.run();
     std::size_t delivered = 0;
     for (const CountingSink &s : sinks)
         delivered += s.delivered;
     EXPECT_EQ(delivered, sent);
 
-    const ChannelTableHealth h = net.channelTableHealth();
-    EXPECT_EQ(h.channels, std::size_t{kNodes} * (kNodes - 1));
-    EXPECT_GE(h.capacity, h.channels);
-    EXPECT_LE(h.maxProbe, 32u);
-    EXPECT_LT(h.meanProbe(), 2.0);
-
-    // Every channel released its words: each can take a full
-    // channel's worth again.
+    // Every drained channel was erased, and every pair can take a
+    // full channel's worth again.
+    const ChannelTableHealth drained = net.channelTableHealth();
+    EXPECT_EQ(drained.entries, 0u);
+    EXPECT_EQ(drained.capacity, full.capacity);
     for (NodeId src = 0; src < kNodes; ++src) {
         for (NodeId dst = 0; dst < kNodes; ++dst) {
             if (dst != src) {
@@ -298,7 +301,7 @@ TEST(ChannelMapTest, EmptyNetworkReportsEmptyTable)
     StatGroup stats("test");
     Network net(eq, NetworkConfig{}, "net", &stats);
     const ChannelTableHealth h = net.channelTableHealth();
-    EXPECT_EQ(h.channels, 0u);
+    EXPECT_EQ(h.entries, 0u);
     EXPECT_EQ(h.maxProbe, 0u);
     EXPECT_EQ(h.meanProbe(), 0.0);
 }

@@ -2,11 +2,11 @@
  * @file
  * Allocation test for the packet path: after warm-up, injecting a
  * message, carrying it across the fabric, delivering it to a sink,
- * and releasing the channel must not touch the global heap. The
- * inline payload (WordVec), the flat channel map, the RingDeque
- * arrival queues, the pooled arrival events and the intrusive
- * back-pressure waiters together leave nothing to allocate in steady
- * state.
+ * and releasing (and so erasing) the channel must not touch the
+ * global heap. The inline payload (WordVec), the flat channel map,
+ * the RingDeque arrival queues, the pooled arrival events and the
+ * intrusive back-pressure waiters together leave nothing to allocate
+ * in steady state.
  *
  * Same shape as test_event_alloc: counting operator new/delete, warm
  * up to high-water capacity, snapshot the counter, assert it holds.
@@ -191,6 +191,39 @@ TEST_F(PacketAllocTest, SteadyStateDeliveryIsAllocationFree)
     EXPECT_EQ(g_newCalls.load(), before)
         << "packet path allocated in steady state";
     EXPECT_GT(sinks[0].delivered, before_count);
+}
+
+TEST_F(PacketAllocTest, ChannelChurnIsAllocationFree)
+{
+    // Node 0 sends a burst to one destination, which drains and so
+    // erases that channel; the next burst goes to another destination
+    // and recreates one. Erase and re-insert reuse the channel map's
+    // slots, so the churn never touches the heap once warm.
+    bool allDrained = true;
+    auto burst = [&](int r) {
+        const NodeId dst = static_cast<NodeId>(1 + r % (kNodes - 1));
+        for (int i = 0; i < 3; ++i)
+            net.send(mkPkt(0, dst, kMaxPayloadWords));
+        eq.run();
+        allDrained = allDrained && net.channelTableHealth().entries == 0;
+    };
+    int quiet = 0;
+    int r = 0;
+    for (; quiet < 512 && r < 50000; ++r) {
+        const std::uint64_t b = g_newCalls.load();
+        burst(r);
+        quiet = g_newCalls.load() == b ? quiet + 1 : 0;
+    }
+    ASSERT_EQ(quiet, 512) << "channel churn never reached an "
+                            "allocation-free steady state";
+
+    const std::uint64_t before = g_newCalls.load();
+    for (int i = 0; i < 256; ++i)
+        burst(r + i);
+    EXPECT_EQ(g_newCalls.load(), before)
+        << "channel erase/recreate allocated in steady state";
+    EXPECT_TRUE(allDrained) << "a drained channel was not erased";
+    EXPECT_GT(sinks[kNodes - 1].delivered, 0u);
 }
 
 TEST_F(PacketAllocTest, BackPressureWakeupIsAllocationFree)
