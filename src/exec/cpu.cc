@@ -228,8 +228,10 @@ ContextPtr
 Cpu::spawn(std::string name, bool kernel, Task task)
 {
     ++stats.contextsSpawned;
-    return std::make_shared<Context>(this, std::move(name), kernel,
-                                     std::move(task));
+    // Pooled like the task's frame: one handler context per message.
+    return std::allocate_shared<Context>(coro_pool::Allocator<Context>{},
+                                         this, std::move(name), kernel,
+                                         std::move(task));
 }
 
 void

@@ -14,6 +14,9 @@
  *
  * All simulated software (kernel handlers, user threads, upcall
  * handlers, applications) is written as coroutines built from these.
+ * Their frames come from the thread-local coroutine pool
+ * (exec/coro_pool.hh), so creating one does not touch the heap in
+ * steady state.
  */
 
 #ifndef FUGU_EXEC_TASK_HH
@@ -23,6 +26,7 @@
 #include <exception>
 #include <utility>
 
+#include "exec/coro_pool.hh"
 #include "sim/log.hh"
 
 namespace fugu::exec
@@ -45,6 +49,18 @@ class Task
     {
         /** Back-pointer set by Context when it adopts the task. */
         Context *ctx = nullptr;
+
+        static void *
+        operator new(std::size_t n)
+        {
+            return coro_pool::allocate(n);
+        }
+
+        static void
+        operator delete(void *p, std::size_t n) noexcept
+        {
+            coro_pool::deallocate(p, n);
+        }
 
         Task
         get_return_object()
@@ -125,6 +141,18 @@ struct CoPromiseBase
 {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
+
+    static void *
+    operator new(std::size_t n)
+    {
+        return coro_pool::allocate(n);
+    }
+
+    static void
+    operator delete(void *p, std::size_t n) noexcept
+    {
+        coro_pool::deallocate(p, n);
+    }
 
     std::suspend_always initial_suspend() noexcept { return {}; }
 

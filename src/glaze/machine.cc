@@ -420,15 +420,19 @@ Machine::finishRun()
 bool
 Machine::runUntilDone(const Job *job, Cycle max_cycles)
 {
-    const Cycle limit = now() + max_cycles;
+    // Saturate: now() + max_cycles would wrap for a near-kMaxCycle
+    // budget on a clock already past 0 and end the run at once.
+    const Cycle limit =
+        max_cycles > kMaxCycle - now() ? kMaxCycle : now() + max_cycles;
     if (shards_.shards == 1) {
-        while (!job->done()) {
-            if (now() > limit)
-                return false;
-            if (!eq.runOne())
-                break; // queue drained
-            ++eventsRun_;
-        }
+        // The same batched drain as run(); the stop fires after the
+        // event that finishes the job or first crosses the limit.
+        if (!job->done())
+            eventsRun_ += eq.run(kMaxCycle, [this, job, limit] {
+                return job->done() || eq.now() > limit;
+            });
+        if (!job->done() && now() > limit)
+            return false;
     } else {
         while (!job->done()) {
             const Cycle floor = nextEventFloor();

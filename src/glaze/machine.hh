@@ -273,7 +273,9 @@ class Machine
     void startGang(GangConfig gcfg);
 
     /**
-     * Run until @p job finishes. With machine.par_shards > 1 this is
+     * Run until @p job finishes or @p max_cycles (saturating) pass.
+     * A serial machine runs the event queue's batched drain with a
+     * stop on job completion. With machine.par_shards > 1 this is
      * the bound-weave loop: every phase runs each shard's queue in
      * parallel up to a global horizon (the earliest pending event
      * anywhere plus the lookahead), then commits cross-shard packet

@@ -36,18 +36,6 @@ EventQueue::allocSlot(Event *ev, bool owned)
 }
 
 void
-EventQueue::freeSlot(std::uint32_t idx)
-{
-    SlotRec &s = slots_[idx];
-    s.event = nullptr;
-    s.owned = false;
-    ++s.gen; // invalidates every outstanding handle and queue entry
-    s.nextFree = freeSlotHead_;
-    freeSlotHead_ = idx;
-    ++freeSlotCount_;
-}
-
-void
 EventQueue::prepareBulk(std::size_t n)
 {
     if (freeSlotCount_ < n)
@@ -375,28 +363,6 @@ EventQueue::migrateWindow()
 }
 
 void
-EventQueue::fireSlot(std::uint32_t idx)
-{
-    SlotRec &s = slots_[idx];
-    Event *ev = s.event;
-    const bool owned = s.owned;
-    // Unschedule before processing so process() may reschedule the
-    // same event (the freed slot may be reused immediately).
-    freeSlot(idx);
-    ev->slot_ = kNoEventSlot;
-    --live_;
-    if (owned) {
-        // Pooled one-shot: skip the virtual call, fire-and-destroy
-        // the callable in one indirect call, recycle the event.
-        auto *le = static_cast<LambdaEvent *>(ev);
-        le->fn_.fireAndReset();
-        lambdaFree_.push_back(le);
-    } else {
-        ev->process();
-    }
-}
-
-void
 EventQueue::fireNext(const NextEvent &nx)
 {
     std::uint32_t slot;
@@ -436,52 +402,11 @@ EventQueue::nextTime()
 std::uint64_t
 EventQueue::run(Cycle until, std::uint64_t max_events)
 {
-    std::uint64_t n = 0;
-    while (n < max_events) {
-        NextEvent nx;
-        if (!findNext(nx) || nx.when > until) {
-            // Drained up to the horizon: the clock advances to it.
-            if (until != kMaxCycle && now_ < until)
-                now_ = until;
-            return n;
-        }
-        if (!batchFire_ || !nx.fromRing) {
-            fireNext(nx);
-            ++n;
-            continue;
-        }
-        // Batched drain: fire every live entry at this cycle with one
-        // bucket touch instead of re-scanning the occupancy bitmap per
-        // event. ringHead_/size are re-read every iteration: firing an
-        // event may append same-cycle entries to this bucket, and a
-        // re-entrant ring sweep (a deschedule inside an event) may
-        // compact it and reset ringHead_. The vector object itself is
-        // stable — ring_ never resizes.
-        const std::uint32_t b = nx.bucket;
-        now_ = nx.when;
-        std::vector<BucketEntry> &bucket = ring_[b];
-        for (;;) {
-            const std::uint32_t h = ringHead_[b];
-            if (h >= bucket.size())
-                break;
-            const BucketEntry e = bucket[h];
-            ringHead_[b] = h + 1;
-            --ringCount_;
-            if (slots_[e.slot].gen != e.gen) {
-                fugu_assert(ringStale_ > 0);
-                --ringStale_;
-                continue;
-            }
-            fireSlot(e.slot);
-            if (++n >= max_events)
-                return n; // consumed prefix is dropped by findNext
-        }
-        bucket.clear();
-        ringHead_[b] = 0;
-        occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    }
-    // Cut short by max_events: the clock stays at the last event.
-    return n;
+    if (max_events == 0)
+        return 0;
+    return run(until, [left = max_events]() mutable {
+        return --left == 0; // cut short: the clock stays at the last event
+    });
 }
 
 } // namespace fugu

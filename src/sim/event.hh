@@ -33,6 +33,7 @@
 #ifndef FUGU_SIM_EVENT_HH
 #define FUGU_SIM_EVENT_HH
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -42,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/log.hh"
 #include "sim/types.hh"
 
 namespace fugu
@@ -265,6 +267,20 @@ class EventQueue
                       std::uint64_t max_events = ~std::uint64_t(0));
 
     /**
+     * The drain loop behind every run(): fire events in order until
+     * the queue empties, @p until is passed, or @p stop() — asked
+     * after every event — returns true. A stop returns right after
+     * the event that caused it, even in the middle of a cycle's
+     * bucket; that cycle's remaining events stay queued and fire
+     * first, in schedule order, on the next call. The clock advances
+     * to @p until only when the run was not stopped. Firing order and
+     * the clock at every stop are exactly those of a runOne() loop.
+     * @return number of events processed.
+     */
+    template <std::predicate Stop>
+    std::uint64_t run(Cycle until, Stop &&stop);
+
+    /**
      * Enable/disable batched same-cycle firing in run(). On (the
      * default), run() drains every live entry of a ring bucket per
      * bucket touch — one occupancy-bitmap scan per simulated cycle
@@ -361,7 +377,18 @@ class EventQueue
 
     void push(Event *ev, Cycle when, bool owned);
     std::uint32_t allocSlot(Event *ev, bool owned);
-    void freeSlot(std::uint32_t idx);
+
+    void
+    freeSlot(std::uint32_t idx)
+    {
+        SlotRec &s = slots_[idx];
+        s.event = nullptr;
+        s.owned = false;
+        ++s.gen; // invalidates every outstanding handle and queue entry
+        s.nextFree = freeSlotHead_;
+        freeSlotHead_ = idx;
+        ++freeSlotCount_;
+    }
 
     /**
      * Locate the next live event (dropping stale entries on the way)
@@ -373,7 +400,27 @@ class EventQueue
     void fireNext(const NextEvent &nx);
 
     /** Unschedule slot @p idx and run its event. */
-    void fireSlot(std::uint32_t idx);
+    void
+    fireSlot(std::uint32_t idx)
+    {
+        SlotRec &s = slots_[idx];
+        Event *ev = s.event;
+        const bool owned = s.owned;
+        // Unschedule before processing so process() may reschedule the
+        // same event (the freed slot may be reused immediately).
+        freeSlot(idx);
+        ev->slot_ = kNoEventSlot;
+        --live_;
+        if (owned) {
+            // Pooled one-shot: skip the virtual call, fire-and-destroy
+            // the callable in one indirect call, recycle the event.
+            auto *le = static_cast<LambdaEvent *>(ev);
+            le->fn_.fireAndReset();
+            lambdaFree_.push_back(le);
+        } else {
+            ev->process();
+        }
+    }
 
     /**
      * Realign the ring window to now_ (after firing a far-band event)
@@ -413,6 +460,59 @@ class EventQueue
     std::vector<std::unique_ptr<LambdaEvent>> lambdaStore_;
     std::vector<LambdaEvent *> lambdaFree_;
 };
+
+template <std::predicate Stop>
+std::uint64_t
+EventQueue::run(Cycle until, Stop &&stop)
+{
+    std::uint64_t n = 0;
+    for (;;) {
+        NextEvent nx;
+        if (!findNext(nx) || nx.when > until) {
+            // Drained up to the horizon: the clock advances to it.
+            if (until != kMaxCycle && now_ < until)
+                now_ = until;
+            return n;
+        }
+        if (!batchFire_ || !nx.fromRing) {
+            fireNext(nx);
+            ++n;
+            if (stop())
+                return n;
+            continue;
+        }
+        // Batched drain: fire every live entry at this cycle with one
+        // bucket touch instead of re-scanning the occupancy bitmap per
+        // event. ringHead_/size are re-read every iteration: firing an
+        // event may append same-cycle entries to this bucket, and a
+        // re-entrant ring sweep (a deschedule inside an event) may
+        // compact it and reset ringHead_. The vector object itself is
+        // stable — ring_ never resizes.
+        const std::uint32_t b = nx.bucket;
+        now_ = nx.when;
+        std::vector<BucketEntry> &bucket = ring_[b];
+        for (;;) {
+            const std::uint32_t h = ringHead_[b];
+            if (h >= bucket.size())
+                break;
+            const BucketEntry e = bucket[h];
+            ringHead_[b] = h + 1;
+            --ringCount_;
+            if (slots_[e.slot].gen != e.gen) {
+                fugu_assert(ringStale_ > 0);
+                --ringStale_;
+                continue;
+            }
+            fireSlot(e.slot);
+            ++n;
+            if (stop())
+                return n; // consumed prefix is dropped by findNext
+        }
+        bucket.clear();
+        ringHead_[b] = 0;
+        occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    }
+}
 
 } // namespace fugu
 

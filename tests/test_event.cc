@@ -331,4 +331,158 @@ TEST_F(EventTest, PendingCountsLiveEvents)
     EXPECT_TRUE(eq.empty());
 }
 
+// ---------------------------------------------------------------------
+// Stop-predicate drain: run(until, stop)
+// ---------------------------------------------------------------------
+
+class EventDrainTest : public ThrowOnError,
+                       public ::testing::WithParamInterface<bool>
+{
+};
+
+TEST_P(EventDrainTest, StopMidBucketLeavesTheRestQueuedInOrder)
+{
+    EventQueue eq;
+    eq.setBatchFire(GetParam());
+    std::vector<int> log;
+    for (int i = 0; i < 5; ++i)
+        eq.scheduleFn([&log, i] { log.push_back(i); }, 10);
+    eq.scheduleFn([&log] { log.push_back(5); }, 20);
+    eq.scheduleFn([&log] { log.push_back(6); }, 20);
+
+    // Stop after the third of cycle 10's five events.
+    const std::uint64_t n =
+        eq.run(kMaxCycle, [&log] { return log.size() == 3; });
+    EXPECT_EQ(n, 3u);
+    EXPECT_EQ(eq.now(), 10u) << "a stopped run keeps the clock";
+    EXPECT_EQ(eq.pending(), 4u);
+    EXPECT_EQ(eq.nextTime(), 10u);
+
+    // A same-cycle event scheduled now queues behind the leftovers.
+    eq.scheduleFn([&log] { log.push_back(9); }, 10);
+    EXPECT_EQ(eq.run(), 5u);
+    EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 4, 9, 5, 6}));
+    EXPECT_EQ(eq.now(), 20u);
+}
+
+TEST_P(EventDrainTest, StopOnTheFirstEventAndAtTheHorizon)
+{
+    EventQueue eq;
+    eq.setBatchFire(GetParam());
+    int fired = 0;
+    eq.scheduleFn([&fired] { ++fired; }, 5);
+    eq.scheduleFn([&fired] { ++fired; }, 5);
+    eq.scheduleFn([&fired] { ++fired; }, 50);
+    EXPECT_EQ(eq.run(kMaxCycle, [] { return true; }), 1u);
+    EXPECT_EQ(eq.now(), 5u);
+    // A stop that never fires: the horizon ends the run and the
+    // clock advances to it, as with run(until).
+    EXPECT_EQ(eq.run(30, [] { return false; }), 1u);
+    EXPECT_EQ(eq.now(), 30u);
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(eq.run(kMaxCycle, [] { return false; }), 1u);
+    EXPECT_EQ(eq.now(), 50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchFire, EventDrainTest, ::testing::Bool(),
+                         [](const auto &info) {
+                             return info.param ? "On" : "Off";
+                         });
+
+/**
+ * A self-extending random event storm: every fired event logs
+ * (id, cycle) and, from an RNG advanced in firing order, schedules
+ * children at the same cycle, a few cycles out or in the far band,
+ * and cancels earlier handles. Any difference in firing order between
+ * two run loops changes everything after it.
+ */
+struct Storm
+{
+    struct Fire
+    {
+        std::uint64_t id;
+        Cycle when;
+        bool operator==(const Fire &) const = default;
+    };
+
+    explicit Storm(EventQueue &q) : eq(q)
+    {
+        for (std::uint64_t i = 0; i < 64; ++i)
+            spawn(i % 7);
+    }
+
+    std::uint64_t
+    rand()
+    {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        return rng >> 33;
+    }
+
+    void
+    spawn(Cycle delay)
+    {
+        const std::uint64_t id = nextId++;
+        handles.push_back(eq.scheduleFn(
+            [this, id] {
+                log.push_back(Fire{id, eq.now()});
+                if (nextId >= kMaxEvents)
+                    return;
+                static constexpr Cycle kDelays[] = {0, 0, 1, 3, 9, 3000};
+                const unsigned kids = 1 + rand() % 2;
+                for (unsigned k = 0; k < kids; ++k)
+                    spawn(kDelays[rand() % 6]);
+                if (rand() % 5 == 0)
+                    eq.cancelFn(handles[rand() % handles.size()]);
+            },
+            eq.now() + delay));
+    }
+
+    static constexpr std::uint64_t kMaxEvents = 20000;
+    EventQueue &eq;
+    std::uint64_t rng = 42;
+    std::uint64_t nextId = 0;
+    std::vector<EventHandle> handles;
+    std::vector<Fire> log;
+};
+
+TEST_F(EventTest, DrainsFireIdenticallyToAStepLoop)
+{
+    // Reference: one runOne() per event.
+    EventQueue ref_q;
+    Storm ref(ref_q);
+    std::uint64_t ref_n = 0;
+    while (ref_q.runOne())
+        ++ref_n;
+    ASSERT_GT(ref.log.size(), 10000u);
+    ASSERT_EQ(ref_n, ref.log.size());
+
+    for (const bool batch : {true, false}) {
+        // One full drain.
+        EventQueue q;
+        q.setBatchFire(batch);
+        Storm s(q);
+        EXPECT_EQ(q.run(), ref_n) << "batch=" << batch;
+        EXPECT_EQ(s.log, ref.log) << "batch=" << batch;
+        EXPECT_EQ(q.now(), ref_q.now());
+
+        // Stop every 7 events, mid-bucket or not, then resume; the
+        // clock at each stop matches the step loop's.
+        EventQueue cq;
+        cq.setBatchFire(batch);
+        Storm c(cq);
+        std::uint64_t total = 0;
+        for (;;) {
+            std::uint64_t k = 0;
+            const std::uint64_t n =
+                cq.run(kMaxCycle, [&k] { return ++k == 7; });
+            total += n;
+            if (n == 0)
+                break;
+            ASSERT_EQ(cq.now(), ref.log[total - 1].when);
+        }
+        EXPECT_EQ(total, ref_n) << "batch=" << batch;
+        EXPECT_EQ(c.log, ref.log) << "batch=" << batch;
+    }
+}
+
 } // namespace
