@@ -1,9 +1,28 @@
 #include "exec/cpu.hh"
 
+#include <iterator>
+
 #include "sim/log.hh"
 
 namespace fugu::exec
 {
+
+namespace
+{
+
+// Handler context names: one literal per IRQ line and trap vector,
+// so a dispatch builds no string.
+constexpr const char *kIrqNames[] = {"irq0", "irq1", "irq2", "irq3",
+                                     "irq4", "irq5", "irq6", "irq7"};
+static_assert(std::size(kIrqNames) == kNumIrqLines);
+
+constexpr const char *kTrapNames[] = {
+    "trap0", "trap1", "trap2",  "trap3",  "trap4",  "trap5",
+    "trap6", "trap7", "trap8",  "trap9",  "trap10", "trap11",
+    "trap12", "trap13", "trap14", "trap15"};
+static_assert(std::size(kTrapNames) == kNumTrapVectors);
+
+} // namespace
 
 const char *
 toString(CtxState s)
@@ -265,7 +284,7 @@ Cpu::requestDispatch()
     if (current_ || dispatchPending_)
         return;
     dispatchPending_ = true;
-    eq_.scheduleFn([this] { reschedule(); }, eq_.now(), "cpu-dispatch");
+    eq_.schedule(&dispatchEv_, eq_.now());
 }
 
 // ---------------------------------------------------------------------
@@ -291,6 +310,16 @@ Cpu::onSpendSuspend(Cycle n, std::coroutine_handle<> h)
     }
     if (n == 0)
         return false; // nothing to wait for; continue immediately
+    // This coroutine's resume is the tail of the event now firing, so
+    // its spend-end would be the next event unless something else is
+    // due first: a queued event, or a user-timer deadline strictly
+    // inside the spend. Otherwise the spend ends here and now.
+    const bool timer_inside = timer_.active && ctx->preemptible() &&
+                              timer_.deadline < userCycles_ + n;
+    if (!timer_inside && eq_.completeInPlace(eq_.now() + n)) {
+        endSpend(ctx, n);
+        return false;
+    }
     beginSpend(n);
     return true;
 }
@@ -331,8 +360,7 @@ Cpu::onTrapSuspend(std::coroutine_handle<> h, unsigned vec,
     victim->state_ = CtxState::Blocked;
     victim->trapArg = arg;
     ContextPtr handler =
-        spawn("trap" + std::to_string(vec), /*kernel=*/true,
-              trapHandlers_[vec](victim));
+        spawn(kTrapNames[vec], /*kernel=*/true, trapHandlers_[vec](victim));
     handler->setReturnTo(victim);
     resumeContext(handler);
     return victim;
@@ -387,8 +415,8 @@ Cpu::dispatchIrq(unsigned line, ContextPtr ret)
     ++stats.irqsTaken;
     FUGU_TRACE(tracer_, id_, trace::Type::IrqDispatch, 0,
                trace::DivertReason::None, line);
-    ContextPtr handler = spawn("irq" + std::to_string(line),
-                               /*kernel=*/true, irqHandlers_[line](line));
+    ContextPtr handler =
+        spawn(kIrqNames[line], /*kernel=*/true, irqHandlers_[line](line));
     handler->setReturnTo(std::move(ret));
     resumeContext(handler);
 }
@@ -401,13 +429,13 @@ Cpu::resumeContext(const ContextPtr &ctx)
       case CtxState::Unstarted:
         ctx->state_ = CtxState::Active;
         current_ = ctx;
-        scheduleResume(ctx->task_.handle(), 0, "ctx-start");
+        scheduleResume(ctx->task_.handle());
         break;
       case CtxState::Ready:
       case CtxState::Blocked:
         ctx->state_ = CtxState::Active;
         current_ = ctx;
-        scheduleResume(ctx->resumePoint_, 0, "ctx-resume");
+        scheduleResume(ctx->resumePoint_);
         break;
       case CtxState::Frozen: {
         Cycle rem = ctx->remaining_;
@@ -424,10 +452,20 @@ Cpu::resumeContext(const ContextPtr &ctx)
 }
 
 void
-Cpu::scheduleResume(std::coroutine_handle<> h, Cycle delay,
-                    const char *why)
+Cpu::scheduleResume(std::coroutine_handle<> h)
 {
-    eq_.scheduleFn([h] { h.resume(); }, eq_.now() + delay, why);
+    // Only the current context runs, and it is set before its hop is
+    // scheduled, so a second hop cannot be pending.
+    fugu_assert(!hopEv_.scheduled(), "two context hops pending on cpu",
+                id_);
+    hop_ = h;
+    eq_.schedule(&hopEv_, eq_.now());
+}
+
+void
+Cpu::onResumeHop()
+{
+    std::exchange(hop_, nullptr).resume();
 }
 
 void
@@ -438,8 +476,7 @@ Cpu::beginSpend(Cycle n)
     spend_.ctx = current_;
     spend_.start = eq_.now();
     spend_.end = eq_.now() + n;
-    spend_.endEv = eq_.scheduleFn([this] { onSpendComplete(); },
-                                  spend_.end, "spend-end");
+    eq_.schedule(&spendEv_, spend_.end);
     armTimerForSpend();
 }
 
@@ -451,19 +488,25 @@ Cpu::onSpendComplete()
     Cycle n = spend_.end - spend_.start;
     spend_.active = false;
     spend_.ctx.reset();
+    endSpend(ctx, n);
+    ctx->resumePoint_.resume();
+}
+
+void
+Cpu::endSpend(const ContextPtr &ctx, Cycle n)
+{
     accountCycles(ctx, n);
     if (timer_.active && ctx->preemptible()) {
         // The in-spend firing event (if any) only exists for
         // deadlines strictly inside the spend; a deadline landing
         // exactly on the spend boundary fires here.
-        eq_.cancelFn(timer_.ev);
+        eq_.deschedule(&timerEv_);
         if (userCycles_ >= timer_.deadline) {
             timer_.active = false;
             auto cb = timer_.cb;
             cb(); // typically raises an IRQ; pends until next spend
         }
     }
-    ctx->resumePoint_.resume();
 }
 
 void
@@ -474,12 +517,12 @@ Cpu::preemptCurrent()
     Cycle now = eq_.now();
     Cycle consumed = now - spend_.start;
     Cycle rem = spend_.end - now;
-    eq_.cancelFn(spend_.endEv);
+    eq_.deschedule(&spendEv_);
     spend_.active = false;
     spend_.ctx.reset();
     accountCycles(ctx, consumed);
     if (timer_.active)
-        eq_.cancelFn(timer_.ev); // re-armed at the next user spend
+        eq_.deschedule(&timerEv_); // re-armed at the next user spend
     ctx->state_ = CtxState::Frozen;
     ctx->remaining_ = rem;
     current_.reset();
@@ -517,7 +560,7 @@ Cpu::cancelUserTimer()
 {
     if (!timer_.active)
         return;
-    eq_.cancelFn(timer_.ev);
+    eq_.deschedule(&timerEv_);
     timer_.active = false;
     timer_.cb = nullptr;
 }
@@ -541,15 +584,16 @@ Cpu::armTimerForSpend()
                 "user timer deadline already passed");
     Cycle dist = timer_.deadline - uc;
     Cycle left = spend_.end - eq_.now();
-    if (dist < left) {
-        timer_.ev = eq_.scheduleFn(
-            [this] {
-                timer_.active = false;
-                auto cb = timer_.cb;
-                cb();
-            },
-            eq_.now() + dist, "user-timer");
-    }
+    if (dist < left)
+        eq_.schedule(&timerEv_, eq_.now() + dist);
+}
+
+void
+Cpu::onUserTimer()
+{
+    timer_.active = false;
+    auto cb = timer_.cb;
+    cb();
 }
 
 } // namespace fugu::exec

@@ -125,7 +125,10 @@ class Cpu
         Cpu *cpu;
         Cycle n;
         bool await_ready() const noexcept { return false; }
-        /** @return false to continue immediately (zero-cycle spend). */
+        /**
+         * @return false to continue immediately: a zero-cycle spend,
+         * or one that completed in place (nothing was due first).
+         */
         bool
         await_suspend(std::coroutine_handle<> h)
         {
@@ -256,7 +259,6 @@ class Cpu
         ContextPtr ctx;
         Cycle start = 0;
         Cycle end = 0;
-        EventHandle endEv;
     };
 
     struct UserTimer
@@ -264,7 +266,18 @@ class Cpu
         bool active = false;
         Cycle deadline = 0; ///< in user-cycle time (see userCycles())
         std::function<void()> cb;
-        EventHandle ev; // scheduled firing, if any
+    };
+
+    /** An event owned by the Cpu that calls one of its members. */
+    template <void (Cpu::*Fn)()>
+    class Hop final : public Event
+    {
+      public:
+        Hop(Cpu *cpu, const char *name) : Event(name), cpu_(cpu) {}
+        void process() override { (cpu_->*Fn)(); }
+
+      private:
+        Cpu *cpu_;
     };
 
     /** Context finished (called from final_suspend). */
@@ -288,6 +301,12 @@ class Cpu
     void beginSpend(Cycle n);
     void onSpendComplete();
 
+    /**
+     * The end of a spend of @p n cycles by @p ctx: account the cycles
+     * and fire a user timer whose deadline falls on the boundary.
+     */
+    void endSpend(const ContextPtr &ctx, Cycle n);
+
     /** Freeze the current context mid/pre-spend (IRQ arrived). */
     void preemptCurrent();
 
@@ -303,15 +322,16 @@ class Cpu
     /** Resume a context as current (no pending-IRQ check). */
     void resumeContext(const ContextPtr &ctx);
 
-    /** Schedule a coroutine handle to resume at now + delay. */
-    void scheduleResume(std::coroutine_handle<> h, Cycle delay,
-                        const char *why);
+    /** Schedule @p h to resume at now (the one pending hop). */
+    void scheduleResume(std::coroutine_handle<> h);
+    void onResumeHop();
 
     /** Account user/kernel cycles for a completed slice. */
     void accountCycles(const ContextPtr &ctx, Cycle n);
 
     /** Arm the timer firing event against the active spend. */
     void armTimerForSpend();
+    void onUserTimer();
 
     EventQueue &eq_;
     NodeId id_;
@@ -330,6 +350,12 @@ class Cpu
 
     SpendState spend_;
     UserTimer timer_;
+
+    std::coroutine_handle<> hop_; // what hopEv_ resumes
+    Hop<&Cpu::onSpendComplete> spendEv_{this, "spend-end"};
+    Hop<&Cpu::reschedule> dispatchEv_{this, "cpu-dispatch"};
+    Hop<&Cpu::onResumeHop> hopEv_{this, "ctx-resume"};
+    Hop<&Cpu::onUserTimer> timerEv_{this, "user-timer"};
 
     Cycle userCycles_ = 0;
 

@@ -73,28 +73,11 @@ Kernel::Stats::Stats(StatGroup *parent, NodeId id)
 {
 }
 
-Kernel::Kernel(Machine &machine, NodeId id)
-    : stats(&machine.root, id), m_(machine), id_(id),
-      kernelHandlers_(16)
+Kernel::Kernel(Machine &machine, NodeId id, exec::Cpu &cpu,
+               core::NetIf &ni, FramePool &frames)
+    : stats(&machine.root, id), m_(machine), id_(id), cpu_(cpu), ni_(ni),
+      frames_(frames), kernelHandlers_(16)
 {
-}
-
-exec::Cpu &
-Kernel::cpu()
-{
-    return m_.node(id_).cpu;
-}
-
-core::NetIf &
-Kernel::ni()
-{
-    return m_.node(id_).ni;
-}
-
-FramePool &
-Kernel::frames()
-{
-    return m_.node(id_).frames;
 }
 
 const core::CostModel &

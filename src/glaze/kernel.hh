@@ -81,7 +81,9 @@ class OsNic : public net::NetSink
 class Kernel
 {
   public:
-    Kernel(Machine &machine, NodeId id);
+    /** @p cpu, @p ni and @p frames are this node's own (Machine::Node). */
+    Kernel(Machine &machine, NodeId id, exec::Cpu &cpu, core::NetIf &ni,
+           FramePool &frames);
 
     Kernel(const Kernel &) = delete;
     Kernel &operator=(const Kernel &) = delete;
@@ -90,9 +92,9 @@ class Kernel
     void init();
 
     NodeId id() const { return id_; }
-    exec::Cpu &cpu();
-    core::NetIf &ni();
-    FramePool &frames();
+    exec::Cpu &cpu() { return cpu_; }
+    core::NetIf &ni() { return ni_; }
+    FramePool &frames() { return frames_; }
     const core::CostModel &costs() const;
     core::AtomicityMode atomicity() const;
 
@@ -219,6 +221,9 @@ class Kernel
 
     Machine &m_;
     NodeId id_;
+    exec::Cpu &cpu_;
+    core::NetIf &ni_;
+    FramePool &frames_;
     std::unordered_map<Gid, Process *> byGid_;
     Process *current_ = nullptr;
     Process *pendingNext_ = nullptr;

@@ -85,7 +85,7 @@ Machine::Node::Node(Machine &m, NodeId id, EventQueue &eq)
       ni(cpu, m.net, id, m.cfg.ni, &m.root),
       frames(m.cfg.framesPerNode, &m.root, id),
       osnic(cpu, m.osnet, id),
-      kernel(m, id)
+      kernel(m, id, cpu, ni, frames)
 {
 }
 

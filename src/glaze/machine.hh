@@ -190,6 +190,19 @@ class Machine
     std::uint64_t eventsProcessed() const { return eventsRun_; }
 
     /**
+     * How many of eventsProcessed() were spends completed in place
+     * (EventQueue::completeInPlace) rather than fired from a queue.
+     */
+    std::uint64_t
+    spendsInPlace() const
+    {
+        std::uint64_t n = 0;
+        for (const EventQueue *q : shardEq_)
+            n += q->inPlaceCompletions();
+        return n;
+    }
+
+    /**
      * A cycle stamp safe to read from any shard thread (the current
      * phase's bound). Serial machines report the exact clock. Used by
      * the invariant checker's diagnostics.

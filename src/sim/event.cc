@@ -211,17 +211,11 @@ EventQueue::acquireLambda(const char *name)
 {
     if (lambdaFree_.empty()) {
         lambdaStore_.push_back(std::make_unique<LambdaEvent>(name));
-        lambdaStore_.back()->namePtr_ = name;
         return lambdaStore_.back().get();
     }
     LambdaEvent *ev = lambdaFree_.back();
     lambdaFree_.pop_back();
-    // Names are almost always literals; pointer identity makes the
-    // common reuse-with-same-name case free.
-    if (ev->namePtr_ != name) {
-        ev->name_ = name; // reuses the string's existing capacity
-        ev->namePtr_ = name;
-    }
+    ev->name_ = name;
     return ev;
 }
 
@@ -285,6 +279,28 @@ EventQueue::ringSweepIfNeeded()
 }
 
 bool
+EventQueue::bucketLive(std::uint32_t b)
+{
+    std::vector<BucketEntry> &bucket = ring_[b];
+    std::uint32_t h = ringHead_[b];
+    const std::size_t sz = bucket.size();
+    while (h < sz && slots_[bucket[h].slot].gen != bucket[h].gen) {
+        ++h;
+        fugu_assert(ringStale_ > 0);
+        --ringStale_;
+        --ringCount_;
+    }
+    if (h == sz) { // bucket fully consumed/cancelled
+        bucket.clear();
+        ringHead_[b] = 0;
+        occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+        return false;
+    }
+    ringHead_[b] = h;
+    return true;
+}
+
+bool
 EventQueue::findNext(NextEvent &nx)
 {
     // Pushes never target cycles < now_, and every bucket the clock
@@ -304,25 +320,10 @@ EventQueue::findNext(NextEvent &nx)
             const std::uint32_t b =
                 static_cast<std::uint32_t>(w * 64) +
                 static_cast<std::uint32_t>(std::countr_zero(word));
+            word &= word - 1;
             // Drop the bucket's stale prefix before committing to it.
-            std::vector<BucketEntry> &bucket = ring_[b];
-            std::uint32_t h = ringHead_[b];
-            const std::size_t sz = bucket.size();
-            while (h < sz &&
-                   slots_[bucket[h].slot].gen != bucket[h].gen) {
-                ++h;
-                fugu_assert(ringStale_ > 0);
-                --ringStale_;
-                --ringCount_;
-            }
-            if (h == sz) { // bucket fully consumed/cancelled
-                bucket.clear();
-                ringHead_[b] = 0;
-                occ_[w] &= ~(std::uint64_t{1} << (b & 63));
-                word &= ~(std::uint64_t{1} << (b & 63));
+            if (!bucketLive(b))
                 continue;
-            }
-            ringHead_[b] = h;
             nx = NextEvent{ringBase_ + b, true, b};
             return true;
         }
@@ -331,6 +332,42 @@ EventQueue::findNext(NextEvent &nx)
     if (heap_.empty())
         return false;
     nx = NextEvent{heap_.front().when, false, 0};
+    return true;
+}
+
+bool
+EventQueue::completeInPlace(Cycle when)
+{
+    RunFrame *f = run_;
+    if (!f || when > f->until || when - ringBase_ >= kRingSize)
+        return false;
+    // Every heap entry lies past the window, so only ring buckets
+    // [now_, when] can hold something due first. Stale-only buckets
+    // are cleared on the way: the clock may pass them.
+    const Cycle lo = now_ - ringBase_;
+    const Cycle hi = when - ringBase_;
+    for (std::size_t w = lo >> 6; w <= (hi >> 6); ++w) {
+        std::uint64_t word = occ_[w];
+        if (w == (lo >> 6))
+            word &= ~std::uint64_t{0} << (lo & 63);
+        if (w == (hi >> 6))
+            word &= ~std::uint64_t{0} >> (63 - (hi & 63));
+        for (; word != 0; word &= word - 1) {
+            const std::uint32_t b =
+                static_cast<std::uint32_t>(w * 64) +
+                static_cast<std::uint32_t>(std::countr_zero(word));
+            if (bucketLive(b))
+                return false;
+        }
+    }
+    // The question run() would ask after the event now firing.
+    if (f->ask(f->stop)) {
+        f->stopped = true;
+        return false;
+    }
+    now_ = when;
+    ++f->inPlace;
+    ++inPlaceTotal_;
     return true;
 }
 

@@ -28,6 +28,11 @@
  * LambdaEvents — only a callable larger than SmallFn::kInlineBytes
  * falls back to the heap — and cancellation handles are plain
  * {slot, generation} pairs instead of shared_ptr control blocks.
+ *
+ * Inside run(), an event the firing event would schedule as its very
+ * last act can complete in place instead (completeInPlace): when
+ * nothing else is due first, the clock simply moves to it. The Cpu
+ * ends spends this way (DESIGN §13).
  */
 
 #ifndef FUGU_SIM_EVENT_HH
@@ -38,7 +43,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -61,7 +65,8 @@ inline constexpr std::uint32_t kNoEventSlot = 0xffffffffu;
 class Event
 {
   public:
-    explicit Event(std::string name) : name_(std::move(name)) {}
+    /** @p name is kept by pointer: it must outlive the event. */
+    explicit Event(const char *name) : name_(name) {}
     virtual ~Event();
 
     Event(const Event &) = delete;
@@ -70,7 +75,7 @@ class Event
     /** Invoked when the scheduled cycle is reached. */
     virtual void process() = 0;
 
-    const std::string &name() const { return name_; }
+    const char *name() const { return name_; }
     bool scheduled() const { return slot_ != kNoEventSlot; }
 
     /** Cycle this event will fire at. Only valid while scheduled. */
@@ -79,7 +84,7 @@ class Event
   private:
     friend class EventQueue;
 
-    std::string name_;
+    const char *name_;
     Cycle when_ = 0;
     std::uint32_t slot_ = kNoEventSlot; // index into queue's slot pool
     EventQueue *queue_ = nullptr;
@@ -190,13 +195,7 @@ class SmallFn
 class LambdaEvent : public Event
 {
   public:
-    explicit LambdaEvent(std::string name) : Event(std::move(name)) {}
-
-    template <typename F>
-    LambdaEvent(std::string name, F &&fn) : Event(std::move(name))
-    {
-        fn_.assign(std::forward<F>(fn));
-    }
+    explicit LambdaEvent(const char *name) : Event(name) {}
 
     void process() override { fn_(); }
 
@@ -204,7 +203,6 @@ class LambdaEvent : public Event
     friend class EventQueue;
 
     SmallFn fn_;
-    const char *namePtr_ = nullptr; // last name set (pointer identity)
 };
 
 /**
@@ -275,10 +273,30 @@ class EventQueue
      * first, in schedule order, on the next call. The clock advances
      * to @p until only when the run was not stopped. Firing order and
      * the clock at every stop are exactly those of a runOne() loop.
+     * Spends completed in place (completeInPlace) count as processed
+     * events and get their own stop() question.
      * @return number of events processed.
      */
     template <std::predicate Stop>
     std::uint64_t run(Cycle until, Stop &&stop);
+
+    /**
+     * Stand in for an event at @p when that the caller would schedule
+     * as the very last action of the event now firing: if the queue
+     * proves nothing else can fire first, advance the clock to
+     * @p when and report the stand-in as processed instead. It holds
+     * only inside run(), with @p when in the near-band window and not
+     * past run()'s horizon, when no live event is due at or before
+     * @p when (the rest of the current cycle's bucket included), and
+     * when the run's stop() — asked here for the event now firing —
+     * is false. A true stop() is remembered: run() returns right
+     * after the current event without asking again.
+     * @return true if the clock moved to @p when.
+     */
+    bool completeInPlace(Cycle when);
+
+    /** Stand-ins completeInPlace() accepted over the queue's life. */
+    std::uint64_t inPlaceCompletions() const { return inPlaceTotal_; }
 
     /**
      * Enable/disable batched same-cycle firing in run(). On (the
@@ -344,6 +362,35 @@ class EventQueue
         std::uint32_t gen;
     };
 
+    /**
+     * The run() in progress, as completeInPlace() needs it: the
+     * horizon, the type-erased stop() and what the stand-ins add.
+     */
+    struct RunFrame
+    {
+        Cycle until;
+        bool (*ask)(void *stop);
+        void *stop;
+        std::uint64_t inPlace = 0; // stand-ins counted in this run
+        bool stopped = false;      // a stand-in's stop() said true
+    };
+
+    /** Installs a RunFrame for one run() and restores the outer one. */
+    class RunScope
+    {
+      public:
+        RunScope(EventQueue &q, RunFrame &f)
+            : q_(q), outer_(std::exchange(q.run_, &f))
+        {}
+        ~RunScope() { q_.run_ = outer_; }
+        RunScope(const RunScope &) = delete;
+        RunScope &operator=(const RunScope &) = delete;
+
+      private:
+        EventQueue &q_;
+        RunFrame *outer_;
+    };
+
     /** The next event to fire, located by findNext(). */
     struct NextEvent
     {
@@ -396,6 +443,13 @@ class EventQueue
      */
     bool findNext(NextEvent &nx);
 
+    /**
+     * Drop ring bucket @p b's stale prefix; clear the bucket and its
+     * occupancy bit if nothing live is left.
+     * @return true if the bucket still holds a live entry.
+     */
+    bool bucketLive(std::uint32_t b);
+
     /** Pop and process the event located by findNext(). */
     void fireNext(const NextEvent &nx);
 
@@ -441,6 +495,8 @@ class EventQueue
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
     bool batchFire_ = true;
+    RunFrame *run_ = nullptr; // the run() in progress, if any
+    std::uint64_t inPlaceTotal_ = 0;
     std::size_t live_ = 0;
     std::size_t stale_ = 0;     // dead entries still in heap_
     std::size_t ringStale_ = 0; // dead entries still in ring buckets
@@ -465,6 +521,12 @@ template <std::predicate Stop>
 std::uint64_t
 EventQueue::run(Cycle until, Stop &&stop)
 {
+    using StopFn = std::remove_reference_t<Stop>;
+    RunFrame frame{until,
+                   [](void *s) { return (*static_cast<StopFn *>(s))(); },
+                   const_cast<void *>(
+                       static_cast<const void *>(std::addressof(stop)))};
+    const RunScope scope(*this, frame);
     std::uint64_t n = 0;
     for (;;) {
         NextEvent nx;
@@ -472,13 +534,13 @@ EventQueue::run(Cycle until, Stop &&stop)
             // Drained up to the horizon: the clock advances to it.
             if (until != kMaxCycle && now_ < until)
                 now_ = until;
-            return n;
+            return n + frame.inPlace;
         }
         if (!batchFire_ || !nx.fromRing) {
             fireNext(nx);
             ++n;
-            if (stop())
-                return n;
+            if (frame.stopped || stop())
+                return n + frame.inPlace;
             continue;
         }
         // Batched drain: fire every live entry at this cycle with one
@@ -505,8 +567,8 @@ EventQueue::run(Cycle until, Stop &&stop)
             }
             fireSlot(e.slot);
             ++n;
-            if (stop())
-                return n; // consumed prefix is dropped by findNext
+            if (frame.stopped || stop())
+                return n + frame.inPlace; // prefix dropped by findNext
         }
         bucket.clear();
         ringHead_[b] = 0;

@@ -456,4 +456,132 @@ TEST_F(CpuTest, TeardownFreesBlockedContexts)
     EXPECT_TRUE(observed.expired());
 }
 
+// ---------------------------------------------------------------------
+// Spends that complete in place
+// ---------------------------------------------------------------------
+
+Task
+spendLogged(Cpu *cpu, std::vector<std::string> *trace, Cycle a, Cycle b)
+{
+    co_await cpu->spend(a);
+    trace->push_back("u@" + std::to_string(cpu->now()));
+    co_await cpu->spend(b);
+    trace->push_back("u@" + std::to_string(cpu->now()));
+}
+
+/**
+ * One user context running spendLogged(a, b) on a fresh Cpu, with an
+ * optional user timer and an optional IRQ raised by an event. Driven
+ * by run(), where spends may end in place, or by a runOne() loop,
+ * where every spend ends with its own event.
+ */
+struct SpendScenario
+{
+    Cycle a = 0, b = 0;
+    Cycle timer = 0; // user cycles; 0 = none
+    Cycle irqAt = 0; // cycle an event raises IRQ 0; 0 = none
+
+    struct Result
+    {
+        std::vector<std::string> trace;
+        std::uint64_t events = 0;
+        std::uint64_t inPlace = 0;
+        double preemptions = 0;
+        double userCycles = 0;
+    };
+
+    Result
+    run(bool stepped) const
+    {
+        Result r;
+        EventQueue q;
+        StatGroup sg("s");
+        Cpu c(q, 0, &sg);
+        c.setIrqHandler(0, [&](unsigned) {
+            return kernelHandler(&c, &r.trace, 9, ~0u);
+        }, /*pulse=*/true);
+        auto ctx = c.spawn("u", false, spendLogged(&c, &r.trace, a, b));
+        if (timer > 0)
+            c.setUserTimer(timer, [&] {
+                r.trace.push_back("timer@" + std::to_string(q.now()));
+                c.raiseIrq(0);
+            });
+        if (irqAt > 0)
+            q.scheduleFn([&] { c.raiseIrq(0); }, irqAt);
+        c.switchTo(ctx);
+        if (stepped)
+            while (q.runOne())
+                ++r.events;
+        else
+            r.events = q.run();
+        EXPECT_TRUE(ctx->finished());
+        r.inPlace = q.inPlaceCompletions();
+        r.preemptions = c.stats.preemptions.value();
+        r.userCycles = c.stats.userCycles.value();
+        return r;
+    }
+};
+
+void
+expectSameAsStepped(const SpendScenario &sc,
+                    const SpendScenario::Result &r)
+{
+    const SpendScenario::Result ref = sc.run(/*stepped=*/true);
+    EXPECT_EQ(ref.inPlace, 0u);
+    EXPECT_EQ(r.trace, ref.trace);
+    EXPECT_EQ(r.events, ref.events);
+    EXPECT_EQ(r.preemptions, ref.preemptions);
+    EXPECT_EQ(r.userCycles, ref.userCycles);
+}
+
+TEST_F(CpuTest, SpendWithNothingDueCompletesInPlace)
+{
+    const SpendScenario sc{100, 50};
+    const auto r = sc.run(false);
+    EXPECT_EQ(r.trace, (std::vector<std::string>{"u@100", "u@150"}));
+    EXPECT_EQ(r.inPlace, 2u);
+    expectSameAsStepped(sc, r);
+}
+
+TEST_F(CpuTest, UserTimerDeadlineInsideASpendFiresAtItsExactCycle)
+{
+    // Deadline at 30, strictly inside the first spend: that spend
+    // needs its timer event, and the IRQ preempts at 30.
+    const SpendScenario sc{100, 50, /*timer=*/30};
+    const auto r = sc.run(false);
+    EXPECT_EQ(r.trace,
+              (std::vector<std::string>{"timer@30", "irq@30", "irqdone@39",
+                                        "u@109", "u@159"}));
+    EXPECT_DOUBLE_EQ(r.preemptions, 1.0);
+    expectSameAsStepped(sc, r);
+}
+
+TEST_F(CpuTest, UserTimerDeadlineAtASpendEndFiresAtCompletion)
+{
+    // Deadline exactly at the first spend's end: the spend completes
+    // in place and the timer fires at its boundary, before the code
+    // after the spend runs; the IRQ is taken at the next spend.
+    const SpendScenario sc{100, 50, /*timer=*/100};
+    const auto r = sc.run(false);
+    EXPECT_EQ(r.trace,
+              (std::vector<std::string>{"timer@100", "u@100", "irq@100",
+                                        "irqdone@109", "u@159"}));
+    EXPECT_GE(r.inPlace, 1u);
+    expectSameAsStepped(sc, r);
+}
+
+TEST_F(CpuTest, IrqRaisedInsideASpendStillPreemptsMidSpend)
+{
+    // The event raising the IRQ at 40 is due inside the first spend,
+    // so that spend cannot end in place and is preempted at 40.
+    const SpendScenario sc{100, 10, /*timer=*/0, /*irqAt=*/40};
+    const auto r = sc.run(false);
+    EXPECT_EQ(r.trace, (std::vector<std::string>{"irq@40", "irqdone@49",
+                                                 "u@109", "u@119"}));
+    EXPECT_DOUBLE_EQ(r.preemptions, 1.0);
+    EXPECT_DOUBLE_EQ(r.userCycles, 110.0);
+    EXPECT_GE(r.inPlace, 1u); // the handler's and the last spend
+    expectSameAsStepped(sc, r);
+}
+
 } // namespace

@@ -27,8 +27,8 @@ using EventTest = ThrowOnError;
 
 struct RecordingEvent : Event
 {
-    RecordingEvent(std::string name, std::vector<std::string> *log)
-        : Event(std::move(name)), log(log)
+    RecordingEvent(const char *name, std::vector<std::string> *log)
+        : Event(name), log(log)
     {}
 
     void process() override { log->push_back(name()); }
@@ -482,6 +482,328 @@ TEST_F(EventTest, DrainsFireIdenticallyToAStepLoop)
         }
         EXPECT_EQ(total, ref_n) << "batch=" << batch;
         EXPECT_EQ(c.log, ref.log) << "batch=" << batch;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Spends completed in place: completeInPlace(when)
+// ---------------------------------------------------------------------
+
+/**
+ * Stands in for a coroutine that spends: each firing (the spend-end)
+ * logs its cycle, then starts the next spend of the list. A spend
+ * that completeInPlace() accepts ends at once, without an event.
+ */
+struct SpendChain : Event
+{
+    SpendChain(EventQueue &q, std::vector<Cycle> spends)
+        : Event("spend-chain"), eq(q), spends(std::move(spends))
+    {}
+
+    void
+    process() override
+    {
+        ends.push_back(eq.now());
+        while (next < spends.size()) {
+            const Cycle end = eq.now() + spends[next++];
+            if (!eq.completeInPlace(end)) {
+                eq.schedule(this, end);
+                return;
+            }
+            ends.push_back(eq.now());
+        }
+    }
+
+    EventQueue &eq;
+    std::vector<Cycle> spends;
+    std::size_t next = 0;
+    std::vector<Cycle> ends;
+};
+
+TEST_F(EventTest, NothingCompletesInPlaceOutsideRun)
+{
+    EventQueue eq;
+    SpendChain c(eq, {10, 10});
+    eq.schedule(&c, 0);
+    while (eq.runOne()) {
+    }
+    EXPECT_EQ(c.ends, (std::vector<Cycle>{0, 10, 20}));
+    EXPECT_EQ(eq.inPlaceCompletions(), 0u);
+    EXPECT_FALSE(eq.completeInPlace(eq.now() + 1));
+}
+
+TEST_F(EventTest, EventDueAtTheSpendEndFiresFirst)
+{
+    EventQueue eq;
+    std::vector<std::string> log;
+    RecordingEvent x("x", &log);
+    SpendChain c(eq, {10, 10});
+    eq.schedule(&c, 0);
+    eq.schedule(&x, 10);
+    // x is due exactly when the first spend ends: that spend gets its
+    // own event, which fires after x. The second ends in place.
+    EXPECT_EQ(eq.run(), 4u);
+    EXPECT_EQ(log, (std::vector<std::string>{"x"}));
+    EXPECT_EQ(c.ends, (std::vector<Cycle>{0, 10, 20}));
+    EXPECT_EQ(eq.inPlaceCompletions(), 1u);
+
+    // One cycle later and x no longer blocks the spend.
+    EventQueue eq2;
+    RecordingEvent y("y", &log);
+    SpendChain d(eq2, {10});
+    eq2.schedule(&d, 0);
+    eq2.schedule(&y, 11);
+    EXPECT_EQ(eq2.run(), 3u);
+    EXPECT_EQ(eq2.inPlaceCompletions(), 1u);
+    EXPECT_EQ(d.ends, (std::vector<Cycle>{0, 10}));
+}
+
+TEST_F(EventTest, SameCycleEventQueuedBehindTheSpenderBlocksIt)
+{
+    EventQueue eq;
+    std::vector<std::string> log;
+    SpendChain c(eq, {5});
+    RecordingEvent x("x", &log);
+    eq.schedule(&c, 0);
+    eq.schedule(&x, 0); // same cycle, after the spender
+    eq.run();
+    EXPECT_EQ(eq.inPlaceCompletions(), 0u);
+    EXPECT_EQ(c.ends, (std::vector<Cycle>{0, 5}));
+}
+
+TEST_F(EventTest, StaleOnlyBucketInsideTheSpendIsPassed)
+{
+    EventQueue eq;
+    std::vector<std::string> log;
+    RecordingEvent x("x", &log), y("y", &log), z("z", &log);
+    SpendChain c(eq, {10});
+    eq.schedule(&c, 0);
+    eq.schedule(&x, 5);
+    eq.schedule(&y, 5);
+    eq.deschedule(&x);
+    eq.deschedule(&y); // cycle 5's bucket now holds only stale entries
+    EXPECT_EQ(eq.run(), 2u);
+    EXPECT_EQ(eq.inPlaceCompletions(), 1u);
+    EXPECT_EQ(c.ends, (std::vector<Cycle>{0, 10}));
+    EXPECT_EQ(eq.heapSize(), 0u) << "the passed bucket kept its entries";
+    // A cycle that reuses the cleared bucket a window later fires
+    // normally.
+    eq.schedule(&z, 5 + 1024);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"z"}));
+    EXPECT_EQ(eq.now(), 5u + 1024u);
+
+    // A stale entry ahead of a live one in the same bucket: the live
+    // one still blocks the spend and fires first.
+    EventQueue eq2;
+    RecordingEvent u("u", &log), v("v", &log);
+    SpendChain d(eq2, {10});
+    eq2.schedule(&d, 0);
+    eq2.schedule(&u, 7);
+    eq2.schedule(&v, 7);
+    eq2.deschedule(&u);
+    eq2.run();
+    EXPECT_EQ(eq2.inPlaceCompletions(), 0u);
+    EXPECT_EQ(log, (std::vector<std::string>{"z", "v"}));
+    EXPECT_EQ(d.ends, (std::vector<Cycle>{0, 10}));
+}
+
+TEST_F(EventTest, RunUntilNeverCompletesPastTheHorizon)
+{
+    EventQueue eq;
+    SpendChain c(eq, {10, 10});
+    eq.schedule(&c, 0);
+    // The first spend ends at 10 <= 15, in place; the second would end
+    // at 20 > 15, so it gets an event and the clock lands on 15.
+    EXPECT_EQ(eq.run(15), 2u);
+    EXPECT_EQ(eq.now(), 15u);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(c.ends, (std::vector<Cycle>{0, 10}));
+    EXPECT_EQ(eq.run(), 1u);
+    EXPECT_EQ(c.ends, (std::vector<Cycle>{0, 10, 20}));
+    EXPECT_EQ(eq.inPlaceCompletions(), 1u);
+
+    // A spend ending exactly on the horizon may complete in place.
+    EventQueue eq2;
+    SpendChain d(eq2, {15});
+    eq2.schedule(&d, 0);
+    EXPECT_EQ(eq2.run(15), 2u);
+    EXPECT_EQ(eq2.inPlaceCompletions(), 1u);
+    EXPECT_EQ(eq2.now(), 15u);
+}
+
+TEST_F(EventTest, SpendPastTheNearBandGetsAnEvent)
+{
+    EventQueue eq;
+    SpendChain c(eq, {2000, 3});
+    eq.schedule(&c, 0);
+    EXPECT_EQ(eq.run(), 3u);
+    EXPECT_EQ(c.ends, (std::vector<Cycle>{0, 2000, 2003}));
+    EXPECT_EQ(eq.inPlaceCompletions(), 1u); // only the 3-cycle spend
+}
+
+TEST_F(EventTest, RunMaxEventsCountsInPlaceCompletions)
+{
+    for (std::uint64_t max : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(max);
+        EventQueue eq;
+        SpendChain c(eq, {10, 10, 10});
+        eq.schedule(&c, 0);
+        // Four events in all: the first firing and three spend-ends.
+        EXPECT_EQ(eq.run(100, max), max);
+        EXPECT_EQ(c.ends.size(), max);
+        EXPECT_EQ(eq.now(), 10 * (max - 1));
+        EXPECT_EQ(eq.inPlaceCompletions(), max - 1);
+        // The rest runs when the run resumes.
+        EXPECT_EQ(eq.run(100), 4 - max);
+        EXPECT_EQ(c.ends, (std::vector<Cycle>{0, 10, 20, 30}));
+        EXPECT_EQ(eq.now(), 100u);
+    }
+}
+
+TEST_F(EventTest, StopIsAskedOncePerEventInPlaceOrNot)
+{
+    EventQueue eq;
+    SpendChain c(eq, {10, 10, 10});
+    eq.schedule(&c, 0);
+    std::uint64_t asked = 0;
+    EXPECT_EQ(eq.run(kMaxCycle, [&] { return ++asked == 0; }), 4u);
+    EXPECT_EQ(asked, 4u);
+    EXPECT_EQ(eq.inPlaceCompletions(), 3u);
+
+    // A stop that says yes inside a spend's check: the spend gets
+    // its event and the run returns right after the current firing,
+    // with no second question.
+    EventQueue eq2;
+    SpendChain d(eq2, {10, 10, 10});
+    eq2.schedule(&d, 0);
+    asked = 0;
+    EXPECT_EQ(eq2.run(kMaxCycle, [&] { return ++asked == 2; }), 2u);
+    EXPECT_EQ(asked, 2u);
+    EXPECT_EQ(eq2.now(), 10u);
+    EXPECT_EQ(eq2.pending(), 1u);
+    EXPECT_EQ(d.ends, (std::vector<Cycle>{0, 10}));
+    asked = 0;
+    EXPECT_EQ(eq2.run(kMaxCycle, [&] { return ++asked == 0; }), 2u);
+    EXPECT_EQ(asked, 2u);
+    EXPECT_EQ(d.ends, (std::vector<Cycle>{0, 10, 20, 30}));
+}
+
+/**
+ * The Storm with spends: an event's last act may be a spend, whose
+ * end continues the same body. The end is an event of its own unless
+ * completeInPlace() accepts it; a runOne() loop never does, so it is
+ * the reference every drain must match event for event.
+ */
+struct SpendStorm
+{
+    explicit SpendStorm(EventQueue &q) : eq(q)
+    {
+        for (std::uint64_t i = 0; i < 64; ++i)
+            spawn(i % 7);
+    }
+
+    std::uint64_t
+    rand()
+    {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        return rng >> 33;
+    }
+
+    void
+    spawn(Cycle delay)
+    {
+        const std::uint64_t id = nextId++;
+        handles.push_back(
+            eq.scheduleFn([this, id] { body(id); }, eq.now() + delay));
+    }
+
+    void
+    body(std::uint64_t id)
+    {
+        for (;;) {
+            log.push_back(Storm::Fire{id, eq.now()});
+            if (nextId >= kMaxEvents)
+                return;
+            static constexpr Cycle kDelays[] = {0, 0, 1, 3, 9, 3000};
+            if (rand() % 3 == 0)
+                spawn(kDelays[rand() % 6]);
+            if (rand() % 5 == 0)
+                eq.cancelFn(handles[rand() % handles.size()]);
+            if (rand() % 4 == 0)
+                return;
+            static constexpr Cycle kSpends[] = {1, 2, 4, 7, 30, 900, 1500};
+            const Cycle end = eq.now() + kSpends[rand() % 7];
+            const std::uint64_t sid = nextId++;
+            if (!eq.completeInPlace(end)) {
+                handles.push_back(
+                    eq.scheduleFn([this, sid] { body(sid); }, end));
+                return;
+            }
+            handles.emplace_back(); // fired already: cancels no-op
+            id = sid;
+        }
+    }
+
+    static constexpr std::uint64_t kMaxEvents = 20000;
+    EventQueue &eq;
+    std::uint64_t rng = 7;
+    std::uint64_t nextId = 0;
+    std::vector<EventHandle> handles;
+    std::vector<Storm::Fire> log;
+};
+
+TEST_F(EventTest, InPlaceDrainsMatchAStepLoop)
+{
+    EventQueue ref_q;
+    SpendStorm ref(ref_q);
+    std::uint64_t ref_n = 0;
+    while (ref_q.runOne())
+        ++ref_n;
+    ASSERT_GT(ref.log.size(), 10000u);
+    ASSERT_EQ(ref_n, ref.log.size());
+    ASSERT_EQ(ref_q.inPlaceCompletions(), 0u);
+
+    for (const bool batch : {true, false}) {
+        SCOPED_TRACE(batch ? "batch" : "no batch");
+        EventQueue q;
+        q.setBatchFire(batch);
+        SpendStorm s(q);
+        EXPECT_EQ(q.run(), ref_n);
+        EXPECT_EQ(s.log, ref.log);
+        EXPECT_EQ(q.now(), ref_q.now());
+        EXPECT_GT(q.inPlaceCompletions(), ref_n / 100);
+        EXPECT_LT(q.inPlaceCompletions(), ref_n);
+
+        // Count-limited runs: each stops after exactly 7 events, in
+        // place or not, with the clock where the step loop had it.
+        EventQueue cq;
+        cq.setBatchFire(batch);
+        SpendStorm c(cq);
+        std::uint64_t total = 0;
+        for (;;) {
+            const std::uint64_t n = cq.run(kMaxCycle, 7);
+            total += n;
+            if (n < 7)
+                break;
+            ASSERT_EQ(cq.now(), ref.log[total - 1].when);
+        }
+        EXPECT_EQ(total, ref_n);
+        EXPECT_EQ(c.log, ref.log);
+
+        // Horizon-limited runs: the clock lands on every horizon and
+        // no spend ends past one.
+        EventQueue hq;
+        hq.setBatchFire(batch);
+        SpendStorm h(hq);
+        total = 0;
+        for (Cycle until = 37; !hq.empty(); until += 37) {
+            total += hq.run(until);
+            ASSERT_EQ(hq.now(), until);
+            ASSERT_TRUE(h.log.empty() || h.log.back().when <= until);
+        }
+        EXPECT_EQ(total, ref_n);
+        EXPECT_EQ(h.log, ref.log);
     }
 }
 

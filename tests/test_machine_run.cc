@@ -8,9 +8,10 @@
  *  - Serial runUntilDone drives the event queue's batched drain, and
  *    must end exactly where a one-event-at-a-time runOne() loop over
  *    an identical machine ends — same events processed, same clock,
- *    same statistics — with batched firing on and off. The cycle
- *    budget gives up after the same event, and saturates on a clock
- *    past 0.
+ *    same statistics — with batched firing on and off. The drain
+ *    completes spends in place and the step loop never does, so this
+ *    pins in-place completion as exact. The cycle budget gives up
+ *    after the same event, and saturates on a clock past 0.
  *  - A warm machine delivers messages (almost) without heap traffic:
  *    coroutine frames and Contexts come from the thread-local
  *    coroutine pool, events from the queue's pools, packets travel
@@ -102,6 +103,10 @@ TEST_P(MachineRunTest, RunUntilDoneMatchesAStepLoop)
 
     EXPECT_GT(drained.delivered(/*buffered_only=*/true), 0u)
         << "run never took the buffered path";
+    // The drain completes spends in place; the step loop never does,
+    // and the in-place ones still count as processed events.
+    EXPECT_GT(drained.m->spendsInPlace(), 0u);
+    EXPECT_EQ(stepped.m->spendsInPlace(), 0u);
     EXPECT_EQ(drained.m->eventsProcessed(), events);
     EXPECT_EQ(drained.m->now(), stepped.m->now());
     EXPECT_EQ(drained.stats(), stepped.stats());
@@ -120,8 +125,10 @@ TEST_P(MachineRunTest, CycleLimitStopsRightAfterTheCrossingEvent)
     std::uint64_t events = 0;
     while (stepped.m->now() <= 5000 && stepped.m->eq.runOne())
         ++events;
+    EXPECT_GT(drained.m->spendsInPlace(), 0u);
     EXPECT_EQ(drained.m->eventsProcessed(), events);
     EXPECT_EQ(stepped.m->now(), stop);
+    EXPECT_EQ(drained.stats(), stepped.stats());
 }
 
 TEST_P(MachineRunTest, FullCycleBudgetAfterAPriorRunSaturates)

@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "glaze/machine.hh"
 #include "harness/experiment.hh"
@@ -206,6 +207,53 @@ TEST(ParallelEngineTest, AgreesWithSerialOracleSemantics)
         EXPECT_EQ(serial.direct + serial.buffered,
                   par.direct + par.buffered);
         EXPECT_EQ(par.violations, 0.0);
+    }
+}
+
+TEST(ParallelEngineTest, InPlaceSpendsInShardLanesAgreeWithSerialOracle)
+{
+    // Shard lanes complete spends in place up to each phase horizon;
+    // two shards must still agree with the serial oracle on what the
+    // application produced, and be deterministic across threads.
+    auto run = [](unsigned shards, std::uint64_t *in_place,
+                  std::uint64_t *events, Cycle *end) {
+        const MachineConfig cfg = meshConfig(16, shards);
+        harness::Workloads wl;
+        wl.synth.groups = cfg.nodes / 2;
+        Machine m(cfg);
+        Job *job = m.addJob("app", wl.factory("synth")(cfg.nodes, cfg.seed));
+        m.installJob(job);
+        EXPECT_TRUE(m.runUntilDone(job));
+        EXPECT_EQ(m.checker()->totalViolations(), 0.0);
+        *in_place = m.spendsInPlace();
+        *events = m.eventsProcessed();
+        *end = m.now();
+        double delivered = 0, sent = 0;
+        for (Process *p : job->procs) {
+            sent += p->stats.sent.value();
+            delivered += p->stats.directDelivered.value() +
+                         p->stats.bufferedDelivered.value();
+        }
+        return std::pair{sent, delivered};
+    };
+    std::uint64_t in_place = 0, events = 0;
+    Cycle end = 0;
+    const auto serial = run(1, &in_place, &events, &end);
+    EXPECT_GT(in_place, 0u);
+    std::uint64_t ref_events = 0;
+    Cycle ref_end = 0;
+    for (const char *threads : kThreadCounts) {
+        SCOPED_TRACE(std::string("FUGU_THREADS=") + threads);
+        ThreadsEnv env(threads);
+        const auto par = run(2, &in_place, &events, &end);
+        EXPECT_EQ(par, serial);
+        EXPECT_GT(in_place, 0u);
+        if (ref_events == 0) {
+            ref_events = events;
+            ref_end = end;
+        }
+        EXPECT_EQ(events, ref_events);
+        EXPECT_EQ(end, ref_end);
     }
 }
 
