@@ -118,11 +118,25 @@ class UdmPort
     unsigned headPayloadWords() const;
 
     /**
+     * Awaiter of read(): one spend at the per-word extract cost of
+     * the path active when the read began, then the word. The word
+     * is read only after the spend, since an interrupt taken during
+     * it may retarget the port at the software buffer.
+     */
+    struct ReadAwaiter : exec::Cpu::SpendAwaiter
+    {
+        UdmPort *port;
+        unsigned idx;
+
+        Word await_resume() const { return port->readRaw(2 + idx); }
+    };
+
+    /**
      * Read payload word @p idx of the pending message into user
      * variables; charges the per-word extract cost of the active
      * delivery path.
      */
-    exec::CoTask<Word> read(unsigned idx);
+    ReadAwaiter read(unsigned idx);
 
     /**
      * Extract-and-free the pending message. Charges the handler
@@ -198,9 +212,6 @@ class UdmPort
 
     /** Base cost dispose() charges; set by the dispatch path. */
     Cycle disposeBase_;
-
-    /** Payload words read since the last dispose (per-word costs). */
-    unsigned wordsRead_ = 0;
 };
 
 } // namespace fugu::core

@@ -1,6 +1,7 @@
 #include "sim/arrival.hh"
 
 #include <cmath>
+#include <vector>
 
 #include "sim/config.hh"
 #include "sim/log.hh"
@@ -37,11 +38,38 @@ namespace
 
 /** Generalized harmonic number sum_{i=1..n} 1/i^theta. */
 double
-zeta(std::uint64_t n, double theta)
+zetaSum(std::uint64_t n, double theta)
 {
     double z = 0;
     for (std::uint64_t i = 1; i <= n; ++i)
         z += 1.0 / std::pow(static_cast<double>(i), theta);
+    return z;
+}
+
+/**
+ * zetaSum memoized per thread on the exact (n, theta) pair. Every
+ * serving node of every trial builds its generator inside the timed
+ * run and would otherwise repeat the same n-term pow loop; a sweep
+ * visits few distinct (keys, theta) pairs, so a linear list is
+ * enough. It is per thread, needing no lock, because trials build
+ * machines on pool workers; and the cached value is the loop's own
+ * result, so draws are bit-identical to a cold computation.
+ */
+double
+zeta(std::uint64_t n, double theta)
+{
+    struct Entry
+    {
+        std::uint64_t n;
+        double theta;
+        double value;
+    };
+    thread_local std::vector<Entry> memo;
+    for (const Entry &e : memo)
+        if (e.n == n && e.theta == theta)
+            return e.value;
+    const double z = zetaSum(n, theta);
+    memo.push_back({n, theta, z});
     return z;
 }
 
@@ -95,7 +123,8 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig &cfg,
 
     if (cfg_.zipfTheta > 0 && cfg_.keys > 1) {
         zetaN_ = zeta(cfg_.keys, cfg_.zipfTheta);
-        zeta2_ = zeta(2, cfg_.zipfTheta);
+        zeta2_ = zetaSum(2, cfg_.zipfTheta);
+        halfPowTheta_ = std::pow(0.5, cfg_.zipfTheta);
         zipfAlpha_ = 1.0 / (1.0 - cfg_.zipfTheta);
         zipfEta_ =
             (1.0 -
@@ -167,7 +196,7 @@ ArrivalProcess::nextKey()
     const double uz = u * zetaN_;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, cfg_.zipfTheta))
+    if (uz < 1.0 + halfPowTheta_)
         return 1;
     const std::uint64_t k = static_cast<std::uint64_t>(
         static_cast<double>(cfg_.keys) *

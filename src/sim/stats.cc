@@ -1,5 +1,6 @@
 #include "sim/stats.hh"
 
+#include <bit>
 #include <cmath>
 #include <iomanip>
 
@@ -8,8 +9,8 @@
 namespace fugu
 {
 
-Stat::Stat(StatGroup *parent, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
+Stat::Stat(StatGroup *parent, const char *name, const char *desc)
+    : name_(name), desc_(desc)
 {
     fugu_assert(parent, "stat '", name_, "' needs a parent group");
     parent->registerStat(this);
@@ -43,9 +44,7 @@ HistogramData::bucketOf(double v)
     if (v >= 0x1p64)
         return kBuckets - 1;
     const auto x = static_cast<std::uint64_t>(v);
-    unsigned octave = 0;
-    for (std::uint64_t t = x; t > 1; t >>= 1)
-        ++octave;
+    const unsigned octave = static_cast<unsigned>(std::bit_width(x)) - 1;
     // Sub-bucket from the 2 bits below the leading one.
     const unsigned sub =
         octave >= 2

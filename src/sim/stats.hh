@@ -22,26 +22,30 @@ namespace fugu
 
 class StatGroup;
 
-/** Base class for a single named statistic. */
+/**
+ * Base class for a single named statistic. The name and description
+ * are kept by pointer, as Event keeps its name: they must outlive the
+ * stat (every declaration passes string literals).
+ */
 class Stat
 {
   public:
-    Stat(StatGroup *parent, std::string name, std::string desc);
+    Stat(StatGroup *parent, const char *name, const char *desc);
     virtual ~Stat() = default;
 
     Stat(const Stat &) = delete;
     Stat &operator=(const Stat &) = delete;
 
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
+    const char *name() const { return name_; }
+    const char *desc() const { return desc_; }
 
     virtual void print(std::ostream &os, const std::string &prefix)
         const = 0;
     virtual void reset() = 0;
 
   private:
-    std::string name_;
-    std::string desc_;
+    const char *name_;
+    const char *desc_;
 };
 
 /** A simple additive counter / value. */

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "sim/arrival.hh"
@@ -225,6 +226,90 @@ TEST(ArrivalTest, SingleKeyKeyspaceAlwaysDrawsZero)
     const Stream s = draw(cfg, 0, 100);
     for (std::uint64_t k : s.keys)
         EXPECT_EQ(k, 0u);
+}
+
+TEST(ArrivalTest, ZipfKeysArePinned)
+{
+    // The first keys of a seeded serving-default stream, recorded
+    // from a generator that summed the Zipf normalizer afresh for
+    // every instance: the memoized normalizer must be bit-identical.
+    ArrivalConfig cfg;
+    cfg.keys = 65536;
+    cfg.zipfTheta = 0.99;
+    cfg.seed = 1;
+    ArrivalProcess p(cfg, 0);
+    std::vector<std::uint64_t> keys;
+    for (int i = 0; i < 16; ++i)
+        keys.push_back(p.nextKey());
+    EXPECT_EQ(keys, (std::vector<std::uint64_t>{
+                        12283, 1, 2, 172, 36, 22, 41, 404, 0, 0, 1094,
+                        34, 5815, 86, 52, 35}));
+}
+
+ArrivalConfig
+zipfConfig(std::uint64_t keys, double theta)
+{
+    ArrivalConfig cfg;
+    cfg.keys = keys;
+    cfg.zipfTheta = theta;
+    cfg.seed = 5;
+    return cfg;
+}
+
+/** draw() on a new thread, whose normalizer memo starts cold. */
+Stream
+drawOnFreshThread(const ArrivalConfig &cfg)
+{
+    Stream s;
+    std::thread t([&] { s = draw(cfg, 0, 2000); });
+    t.join();
+    return s;
+}
+
+TEST(ArrivalTest, NormalizerMemoIsKeyedOnKeysAndTheta)
+{
+    // Revisit configurations in one thread, so later generators find
+    // the normalizers of earlier ones in the memo. Pairs share a key
+    // count or a skew, so a memo keyed on either alone goes stale.
+    const std::vector<ArrivalConfig> order = {
+        zipfConfig(65536, 0.99), zipfConfig(1000, 0.5),
+        zipfConfig(65536, 0.5),  zipfConfig(1000, 0.99),
+        zipfConfig(65536, 0.99),
+    };
+    for (const ArrivalConfig &cfg : order) {
+        EXPECT_EQ(draw(cfg, 0, 2000), drawOnFreshThread(cfg))
+            << cfg.keys << " " << cfg.zipfTheta;
+    }
+}
+
+TEST(ArrivalTest, ConcurrentGeneratorsMatchColdOnes)
+{
+    // Generators built on four threads at once, each thread with its
+    // own memo, draw what a cold generator draws.
+    const std::vector<ArrivalConfig> cfgs = {
+        zipfConfig(65536, 0.99), zipfConfig(1000, 0.5),
+        zipfConfig(65536, 0.5), zipfConfig(4096, 0.99),
+    };
+    std::vector<Stream> want;
+    for (const ArrivalConfig &cfg : cfgs)
+        want.push_back(drawOnFreshThread(cfg));
+    std::vector<std::vector<Stream>> got(cfgs.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < cfgs.size(); ++t) {
+        threads.emplace_back([&, t] {
+            // Each thread walks every config, starting at its own.
+            for (std::size_t i = 0; i < cfgs.size(); ++i) {
+                const std::size_t c = (t + i) % cfgs.size();
+                got[t].push_back(draw(cfgs[c], 0, 2000));
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (std::size_t t = 0; t < cfgs.size(); ++t)
+        for (std::size_t i = 0; i < cfgs.size(); ++i)
+            EXPECT_EQ(got[t][i], want[(t + i) % cfgs.size()])
+                << "thread " << t << " draw " << i;
 }
 
 } // namespace

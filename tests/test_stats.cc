@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "sim/stats.hh"
 
@@ -137,6 +139,49 @@ TEST(StatsTest, HistogramDegenerateSamplesStayFinite)
     // Ordinary samples still behave after the degenerate ones.
     h.sample(12.0);
     EXPECT_TRUE(std::isfinite(h.percentile(50)));
+}
+
+/** The shift-loop bucketOf that HistogramData replaced, as reference. */
+unsigned
+referenceBucketOf(double v)
+{
+    constexpr unsigned kSub = HistogramData::kSub;
+    constexpr unsigned kBuckets = HistogramData::kBuckets;
+    if (!(v >= 1.0))
+        return 0;
+    if (v >= 0x1p64)
+        return kBuckets - 1;
+    const auto x = static_cast<std::uint64_t>(v);
+    unsigned octave = 0;
+    for (std::uint64_t t = x; t > 1; t >>= 1)
+        ++octave;
+    const unsigned sub =
+        octave >= 2
+            ? static_cast<unsigned>((x >> (octave - 2)) & (kSub - 1))
+            : static_cast<unsigned>((x << (2 - octave)) & (kSub - 1));
+    const unsigned b = octave * kSub + sub;
+    return b < kBuckets ? b : kBuckets - 1;
+}
+
+TEST(StatsTest, HistogramBucketOfMatchesShiftLoop)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> points = {
+        0.0, -0.0, -1.0, -kInf, std::numeric_limits<double>::quiet_NaN(),
+        0.5, 1.0, 1.5, 2.75, 7.9, kInf, 0x1p64, 1e19, 1e300,
+        std::nextafter(0x1p64, 0.0),
+    };
+    for (unsigned k = 0; k <= 63; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        const double edge = std::ldexp(1.0, static_cast<int>(k));
+        for (double v : {static_cast<double>(p - 1), static_cast<double>(p),
+                         static_cast<double>(p + 1),
+                         std::nextafter(edge, 0.0),
+                         std::nextafter(edge, kInf)})
+            points.push_back(v);
+    }
+    for (double v : points)
+        EXPECT_EQ(HistogramData::bucketOf(v), referenceBucketOf(v)) << v;
 }
 
 TEST(StatsTest, HistogramMergeEqualsConcatenation)

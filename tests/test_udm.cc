@@ -203,4 +203,92 @@ TEST_F(UdmTest, BufferedReadsAreTransparentAndCostMore)
     EXPECT_DOUBLE_EQ(cost, 8.0); // 2 * (9/2 rounded down) = 8
 }
 
+/** Kernel handler for a spare line: divert the port to @p buf. */
+exec::Task
+divertToBuffer(core::UdmPort *port, core::BufferedInput *buf)
+{
+    port->enterBuffered(buf);
+    co_return;
+}
+
+constexpr unsigned kSpareIrq = 5;
+
+CoTask<void>
+preemptedReader(Process &p, FakeBuffer *fb, std::vector<Word> *out,
+                std::vector<double> *costs)
+{
+    p.cpu().setIrqHandler(
+        kSpareIrq,
+        [&p, fb](unsigned) { return divertToBuffer(&p.port(), fb); },
+        /*pulse=*/true);
+    // Raised between spends, the line stays pending and preempts the
+    // read's spend as it begins; the handler diverts the port.
+    p.cpu().raiseIrq(kSpareIrq);
+    double before = p.cpu().userCycles();
+    out->push_back(co_await p.port().read(0));
+    costs->push_back(p.cpu().userCycles() - before);
+    before = p.cpu().userCycles();
+    out->push_back(co_await p.port().read(1));
+    costs->push_back(p.cpu().userCycles() - before);
+    p.port().exitBuffered();
+}
+
+TEST_F(UdmTest, PreemptedReadReturnsTheBufferedWord)
+{
+    MachineConfig cfg;
+    cfg.nodes = 1;
+    Machine m(cfg);
+    FakeBuffer fb;
+    std::vector<Word> out;
+    std::vector<double> costs;
+    Job *job = m.addJob("t", [&](Process &p) {
+        return preemptedReader(p, &fb, &out, &costs);
+    });
+    m.installJob(job);
+    const double preempts = m.node(0).cpu.stats.preemptions.value();
+    ASSERT_TRUE(m.runUntilDone(job));
+    EXPECT_EQ(m.node(0).cpu.stats.preemptions.value(), preempts + 1);
+    // The word is read after the spend, so the diverted read returns
+    // payload word 0 from the software buffer, not the empty NI.
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0], 1002u);
+    EXPECT_EQ(out[1], 1003u);
+    // The diverted read keeps the fast-path cost it began with; the
+    // next read is charged at the buffered cost.
+    ASSERT_EQ(costs.size(), 2u);
+    EXPECT_DOUBLE_EQ(costs[0], 2.0);
+    EXPECT_DOUBLE_EQ(costs[1], 4.0);
+}
+
+CoTask<void>
+zeroCompute(Process &p, bool *other_fired, Cycle *elapsed)
+{
+    // An event due now fires before any context hop this coroutine
+    // could take, so it still being unfired after compute(0) shows
+    // the coroutine continued without suspending.
+    bool fired = false;
+    p.cpu().eq().scheduleFn([&fired] { fired = true; }, p.cpu().now());
+    const Cycle t0 = p.cpu().now();
+    co_await p.compute(0);
+    *other_fired = fired;
+    *elapsed = p.cpu().now() - t0;
+    co_await p.compute(1); // let the event fire while fired is alive
+}
+
+TEST_F(UdmTest, ZeroComputeContinuesWithoutSuspending)
+{
+    MachineConfig cfg;
+    cfg.nodes = 1;
+    Machine m(cfg);
+    bool other_fired = true;
+    Cycle elapsed = 1;
+    Job *job = m.addJob("t", [&](Process &p) {
+        return zeroCompute(p, &other_fired, &elapsed);
+    });
+    m.installJob(job);
+    ASSERT_TRUE(m.runUntilDone(job));
+    EXPECT_FALSE(other_fired);
+    EXPECT_EQ(elapsed, 0u);
+}
+
 } // namespace
