@@ -12,7 +12,9 @@
  * per-node footprint the node-state diet targets. Wall-clock speedup
  * above 1.0 needs real cores: set FUGU_THREADS and run on a
  * multi-core host; a single-core container still verifies the
- * engine's overhead (speedup ~1/overhead).
+ * engine's overhead (speedup ~1/overhead). Each row also counts the
+ * events that completed in place (spends and same-cycle Cpu hops,
+ * DESIGN §13); they are part of `events`, not extra work.
  *
  * Writes BENCH_machine.json with --json; the CI perf gate diffs its
  * events/sec against the committed baseline.
@@ -86,6 +88,8 @@ struct Cell
     unsigned nodes, shards;
     double secs;
     std::uint64_t events;
+    std::uint64_t spendsInPlace; // of events: completed in place
+    std::uint64_t hopsInPlace;
     double eps;
     double speedup;
     std::uint64_t peakRssKb;
@@ -139,9 +143,11 @@ main(int argc, char **argv)
         std::printf("Machine-simulation scale sweep (synth: "
                     "%u groups/node x %u requests)\n",
                     groups, requests);
-        std::printf("%-6s  %6s  %6s  %8s  %12s  %14s  %8s  %10s\n",
+        std::printf("%-6s  %6s  %6s  %8s  %12s  %10s  %10s  %14s  %8s  "
+                    "%10s\n",
                     "app", "nodes", "shards", "secs", "events",
-                    "events/sec", "speedup", "rss/node");
+                    "spends-ip", "hops-ip", "events/sec", "speedup",
+                    "rss/node");
 
         // (app, nodes) -> the shards=1 oracle's events/sec.
         std::map<std::pair<std::string, unsigned>, double> serialEps;
@@ -198,6 +204,8 @@ main(int argc, char **argv)
                     c.shards = shards;
                     c.secs = secs;
                     c.events = r.events;
+                    c.spendsInPlace = r.spendsInPlace;
+                    c.hopsInPlace = r.hopsInPlace;
                     c.eps = r.events / secs;
                     if (shards == 1)
                         serialEps[{app, nodes}] = c.eps;
@@ -210,11 +218,15 @@ main(int argc, char **argv)
                             ? static_cast<double>(rss1 - rss0) / nodes
                             : 0.0;
 
-                    std::printf("%-6s  %6u  %6u  %8.3f  %12llu  "
-                                "%14.0f  %7.2fx  %8.1fK\n",
+                    std::printf("%-6s  %6u  %6u  %8.3f  %12llu  %10llu  "
+                                "%10llu  %14.0f  %7.2fx  %8.1fK\n",
                                 app.c_str(), c.nodes, c.shards, c.secs,
                                 static_cast<unsigned long long>(
                                     c.events),
+                                static_cast<unsigned long long>(
+                                    c.spendsInPlace),
+                                static_cast<unsigned long long>(
+                                    c.hopsInPlace),
                                 c.eps, c.speedup, c.rssPerNodeKb);
                     ctx.report.row(
                         {{"app", app},
@@ -222,6 +234,8 @@ main(int argc, char **argv)
                          {"shards", c.shards},
                          {"secs", c.secs},
                          {"events", c.events},
+                         {"spends_in_place", c.spendsInPlace},
+                         {"hops_in_place", c.hopsInPlace},
                          {"events_per_sec", c.eps},
                          {"speedup_vs_serial", c.speedup},
                          {"peak_rss_kb", c.peakRssKb},

@@ -408,13 +408,18 @@ NetIf::updateLines(bool restart_timer)
     }
     if (!timerRunning_ || restart_timer) {
         timerRunning_ = true;
-        cpu_.setUserTimer(cfg_.atomicityTimeout, [this] {
-            timerRunning_ = false;
-            ++stats.atomicityTimeouts;
-            FUGU_TRACE(tracer_, id_, trace::Type::AtomTimeout);
-            cpu_.raiseIrq(kIrqAtomicityTimeout);
-        });
+        cpu_.setUserTimer(cfg_.atomicityTimeout, &onAtomicityTimeout, this);
     }
+}
+
+void
+NetIf::onAtomicityTimeout(void *self)
+{
+    auto *ni = static_cast<NetIf *>(self);
+    ni->timerRunning_ = false;
+    ++ni->stats.atomicityTimeouts;
+    FUGU_TRACE(ni->tracer_, ni->id_, trace::Type::AtomTimeout);
+    ni->cpu_.raiseIrq(kIrqAtomicityTimeout);
 }
 
 } // namespace fugu::core

@@ -255,6 +255,9 @@ class NetIf : public net::NetSink
 
     void raiseLine(unsigned line, bool want);
 
+    /** The atomicity timer expired (Cpu user timer callback). */
+    static void onAtomicityTimeout(void *self);
+
     exec::Cpu &cpu_;
     net::Network &network_;
     NodeId id_;

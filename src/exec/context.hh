@@ -12,9 +12,9 @@
 #define FUGU_EXEC_CONTEXT_HH
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <utility>
 
 #include "exec/task.hh"
 #include "sim/types.hh"
@@ -25,7 +25,59 @@ namespace fugu::exec
 class Cpu;
 class Context;
 
-using ContextPtr = std::shared_ptr<Context>;
+/**
+ * Shared ownership of a Context: an intrusive, non-atomic count. A
+ * Context is only ever touched by its own Cpu's lane, and lanes hand
+ * over to one another (and runTrials workers to their caller) only
+ * across a barrier or a join, so the count needs no atomic. The last
+ * release destroys the Context and returns its block to the
+ * coroutine pool (Cpu::spawn allocates it there).
+ */
+class ContextPtr
+{
+  public:
+    ContextPtr() noexcept = default;
+    ContextPtr(std::nullptr_t) noexcept {}
+
+    /** Take a new reference to @p c (null allowed). */
+    explicit ContextPtr(Context *c) noexcept;
+
+    ContextPtr(const ContextPtr &o) noexcept : ContextPtr(o.p_) {}
+    ContextPtr(ContextPtr &&o) noexcept : p_(std::exchange(o.p_, nullptr))
+    {}
+
+    /** Copy and move assignment; self-assignment is safe. */
+    ContextPtr &
+    operator=(ContextPtr o) noexcept
+    {
+        std::swap(p_, o.p_);
+        return *this;
+    }
+
+    ~ContextPtr() { reset(); }
+
+    /**
+     * Drop the reference. The pointer is cleared before the release,
+     * so a destructor it triggers sees this ContextPtr already empty.
+     */
+    void reset() noexcept;
+
+    Context *get() const noexcept { return p_; }
+    Context *operator->() const noexcept { return p_; }
+    explicit operator bool() const noexcept { return p_ != nullptr; }
+
+    /** References to the pointee (0 when empty). */
+    std::uint32_t useCount() const noexcept;
+
+    friend bool
+    operator==(const ContextPtr &a, const ContextPtr &b) noexcept
+    {
+        return a.p_ == b.p_;
+    }
+
+  private:
+    Context *p_ = nullptr;
+};
 
 /** Lifecycle of a Context. */
 enum class CtxState
@@ -40,16 +92,15 @@ enum class CtxState
 
 const char *toString(CtxState s);
 
-class Context : public std::enable_shared_from_this<Context>
+class Context
 {
   public:
-    Context(Cpu *cpu, std::string name, bool kernel, Task task);
     ~Context();
 
     Context(const Context &) = delete;
     Context &operator=(const Context &) = delete;
 
-    const std::string &name() const { return name_; }
+    const char *name() const { return name_; }
     Cpu *cpu() const { return cpu_; }
 
     /** Kernel contexts are never preempted by interrupts. */
@@ -83,9 +134,16 @@ class Context : public std::enable_shared_from_this<Context>
 
   private:
     friend class Cpu;
+    friend class ContextPtr;
+
+    /** Built by Cpu::spawn; @p name must outlive the context. */
+    Context(Cpu *cpu, const char *name, bool kernel, Task task);
+
+    /** Destroy @p c and return its block to the coroutine pool. */
+    static void destroy(Context *c) noexcept;
 
     Cpu *cpu_;
-    std::string name_;
+    const char *name_;
     bool kernel_;
     Task task_;
     CtxState state_ = CtxState::Unstarted;
@@ -98,16 +156,38 @@ class Context : public std::enable_shared_from_this<Context>
 
     ContextPtr returnTo_;
 
+    /** ContextPtrs referring to this context. */
+    std::uint32_t refs_ = 0;
+
     /**
      * Intrusive membership in the owning Cpu's context registry, so
      * Cpu teardown can destroy the coroutine frames of contexts still
      * suspended (frames may hold ContextPtr/ThreadPtr locals forming
-     * shared_ptr cycles that would otherwise never be released).
+     * reference cycles that would otherwise never be released).
      */
     Context *ctxPrev_ = nullptr;
     Context *ctxNext_ = nullptr;
     bool ctxListed_ = false;
 };
+
+inline ContextPtr::ContextPtr(Context *c) noexcept : p_(c)
+{
+    if (p_)
+        ++p_->refs_;
+}
+
+inline void
+ContextPtr::reset() noexcept
+{
+    if (Context *c = std::exchange(p_, nullptr); c && --c->refs_ == 0)
+        Context::destroy(c);
+}
+
+inline std::uint32_t
+ContextPtr::useCount() const noexcept
+{
+    return p_ ? p_->refs_ : 0;
+}
 
 } // namespace fugu::exec
 

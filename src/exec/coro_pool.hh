@@ -160,41 +160,6 @@ deallocate(void *p, std::size_t n) noexcept
 /** Blocks cached in the calling thread's class @p c list (tests). */
 std::size_t cachedBlocks(std::size_t c);
 
-/** std::allocator-compatible adaptor (std::allocate_shared). */
-template <typename T>
-struct Allocator
-{
-    using value_type = T;
-
-    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                  "over-aligned types cannot use the coroutine pool");
-
-    Allocator() = default;
-    template <typename U>
-    Allocator(const Allocator<U> &) noexcept
-    {
-    }
-
-    T *
-    allocate(std::size_t n)
-    {
-        return static_cast<T *>(coro_pool::allocate(n * sizeof(T)));
-    }
-
-    void
-    deallocate(T *p, std::size_t n) noexcept
-    {
-        coro_pool::deallocate(p, n * sizeof(T));
-    }
-
-    template <typename U>
-    bool
-    operator==(const Allocator<U> &) const noexcept
-    {
-        return true;
-    }
-};
-
 } // namespace fugu::exec::coro_pool
 
 #endif // FUGU_EXEC_CORO_POOL_HH

@@ -38,11 +38,9 @@ toString(CtxState s)
     return "?";
 }
 
-Context::Context(Cpu *cpu, std::string name, bool kernel, Task task)
-    : cpu_(cpu), name_(std::move(name)), kernel_(kernel),
-      task_(std::move(task))
+Context::Context(Cpu *cpu, const char *name, bool kernel, Task task)
+    : cpu_(cpu), name_(name), kernel_(kernel), task_(std::move(task))
 {
-    fugu_assert(task_.valid(), "context '", name_, "' needs a coroutine");
     task_.handle().promise().ctx = this;
     cpu_->linkContext(this);
 }
@@ -51,6 +49,13 @@ Context::~Context()
 {
     if (ctxListed_)
         cpu_->unlinkContext(this);
+}
+
+void
+Context::destroy(Context *c) noexcept
+{
+    c->~Context();
+    coro_pool::deallocate(c, sizeof(Context));
 }
 
 std::coroutine_handle<>
@@ -77,9 +82,7 @@ Cpu::Stats::Stats(StatGroup *parent, NodeId id)
 }
 
 Cpu::Cpu(EventQueue &eq, NodeId id, StatGroup *stat_parent)
-    : stats(stat_parent, id), eq_(eq), id_(id),
-      irqHandlers_(kNumIrqLines), irqPulse_(kNumIrqLines, false),
-      trapHandlers_(kNumTrapVectors)
+    : stats(stat_parent, id), eq_(eq), id_(id)
 {
 }
 
@@ -120,7 +123,6 @@ Cpu::destroyParkedContexts()
     pendingReturn_.reset();
     retired_.reset();
     spend_.ctx.reset();
-    timer_.cb = nullptr;
 
     // Destroy the frame of every context suspended mid-coroutine.
     // Each destruction can release ContextPtrs that in turn destroy
@@ -135,7 +137,7 @@ Cpu::destroyParkedContexts()
             // Keep the context alive across the frame destruction:
             // the frame may hold the last ContextPtr to it, and
             // re-entering ~Context mid-assignment would be UB.
-            ContextPtr keep = c->shared_from_this();
+            ContextPtr keep(c);
             c->state_ = CtxState::Finished;
             c->task_ = Task();
             progress = true;
@@ -159,7 +161,10 @@ Cpu::setIrqHandler(unsigned line, IrqHandlerFactory factory, bool pulse)
 {
     fugu_assert(line < kNumIrqLines, "bad irq line ", line);
     irqHandlers_[line] = std::move(factory);
-    irqPulse_[line] = pulse;
+    if (pulse)
+        irqPulse_ |= 1u << line;
+    else
+        irqPulse_ &= ~(1u << line);
 }
 
 void
@@ -202,7 +207,7 @@ Cpu::raiseIrq(unsigned line)
             preemptCurrent();
             int l = pendingIrqLine();
             fugu_assert(l >= 0);
-            dispatchIrq(static_cast<unsigned>(l), victim);
+            dispatchIrq(static_cast<unsigned>(l), victim, /*tail=*/false);
         }
         // Otherwise: kernel context running, or a user context is
         // between spends (its C++ code is on the call stack right
@@ -210,7 +215,7 @@ Cpu::raiseIrq(unsigned line)
         // context next begins a spend, or at the next dispatch
         // decision.
     } else {
-        requestDispatch();
+        requestDispatch(/*tail=*/false);
     }
 }
 
@@ -244,17 +249,26 @@ Cpu::pendingIrqLine() const
 // ---------------------------------------------------------------------
 
 ContextPtr
-Cpu::spawn(std::string name, bool kernel, Task task)
+Cpu::spawn(const char *name, bool kernel, Task task)
 {
+    fugu_assert(task.valid(), "context '", name, "' needs a coroutine");
     ++stats.contextsSpawned;
     // Pooled like the task's frame: one handler context per message.
-    return std::allocate_shared<Context>(coro_pool::Allocator<Context>{},
-                                         this, std::move(name), kernel,
-                                         std::move(task));
+    // The block goes back to the pool in Context::destroy.
+    static_assert(alignof(Context) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    void *block = coro_pool::allocate(sizeof(Context));
+    return ContextPtr(::new (block)
+                          Context(this, name, kernel, std::move(task)));
 }
 
 void
 Cpu::switchTo(ContextPtr ctx)
+{
+    enter(std::move(ctx), /*tail=*/false);
+}
+
+void
+Cpu::enter(ContextPtr ctx, bool tail)
 {
     fugu_assert(!current_, "switchTo('", ctx->name(), "') while '",
                 current_ ? current_->name() : "", "' is current");
@@ -264,9 +278,9 @@ Cpu::switchTo(ContextPtr ctx)
     if (ctx->preemptible() && line >= 0) {
         // Deliver the interrupt first; the handler returns to ctx.
         ++stats.preemptions;
-        dispatchIrq(static_cast<unsigned>(line), std::move(ctx));
+        dispatchIrq(static_cast<unsigned>(line), std::move(ctx), tail);
     } else {
-        resumeContext(ctx);
+        resumeContext(ctx, tail);
     }
 }
 
@@ -281,10 +295,16 @@ Cpu::wake(const ContextPtr &ctx)
 void
 Cpu::requestDispatch()
 {
+    requestDispatch(/*tail=*/false);
+}
+
+void
+Cpu::requestDispatch(bool tail)
+{
     if (current_ || dispatchPending_)
         return;
     dispatchPending_ = true;
-    eq_.schedule(&dispatchEv_, eq_.now());
+    hop(dispatchEv_, tail);
 }
 
 // ---------------------------------------------------------------------
@@ -305,7 +325,7 @@ Cpu::onSpendSuspend(Cycle n, std::coroutine_handle<> h)
         ctx->remaining_ = n;
         current_.reset();
         dispatchIrq(static_cast<unsigned>(pendingIrqLine()),
-                    std::move(ctx));
+                    std::move(ctx), /*tail=*/true);
         return true;
     }
     if (n == 0)
@@ -317,6 +337,7 @@ Cpu::onSpendSuspend(Cycle n, std::coroutine_handle<> h)
     const bool timer_inside = timer_.active && ctx->preemptible() &&
                               timer_.deadline < userCycles_ + n;
     if (!timer_inside && eq_.completeInPlace(eq_.now() + n)) {
+        ++spendsInPlace_;
         endSpend(ctx, n);
         return false;
     }
@@ -344,7 +365,7 @@ Cpu::onYieldSuspend(std::coroutine_handle<> h, ContextPtr next,
     ContextPtr ctx = std::move(current_);
     ctx->resumePoint_ = h;
     ctx->state_ = block_self ? CtxState::Blocked : CtxState::Ready;
-    switchTo(std::move(next));
+    enter(std::move(next), /*tail=*/true);
 }
 
 ContextPtr
@@ -362,7 +383,7 @@ Cpu::onTrapSuspend(std::coroutine_handle<> h, unsigned vec,
     ContextPtr handler =
         spawn(kTrapNames[vec], /*kernel=*/true, trapHandlers_[vec](victim));
     handler->setReturnTo(victim);
-    resumeContext(handler);
+    resumeContext(handler, /*tail=*/true);
     return victim;
 }
 
@@ -377,9 +398,10 @@ Cpu::onFinished(Context *ctx)
     ctx->state_ = CtxState::Finished;
     pendingReturn_ = ctx->takeReturnTo();
     // Defer destruction: we are executing inside this context's
-    // coroutine frame right now.
+    // coroutine frame right now. The dispatch runs after the frame
+    // has suspended, from the trampoline if it completes in place.
     retired_ = std::move(current_);
-    requestDispatch();
+    requestDispatch(/*tail=*/true);
 }
 
 void
@@ -392,12 +414,13 @@ Cpu::reschedule()
     int line = pendingIrqLine();
     if (line >= 0) {
         ContextPtr ret = std::move(pendingReturn_);
-        dispatchIrq(static_cast<unsigned>(line), std::move(ret));
+        dispatchIrq(static_cast<unsigned>(line), std::move(ret),
+                    /*tail=*/true);
         return;
     }
     if (pendingReturn_) {
         ContextPtr ret = std::move(pendingReturn_);
-        switchTo(std::move(ret));
+        enter(std::move(ret), /*tail=*/true);
         return;
     }
     if (idleHook_)
@@ -405,12 +428,12 @@ Cpu::reschedule()
 }
 
 void
-Cpu::dispatchIrq(unsigned line, ContextPtr ret)
+Cpu::dispatchIrq(unsigned line, ContextPtr ret, bool tail)
 {
     fugu_assert(!current_);
     fugu_assert(irqHandlers_[line], "irq line ", line,
                 " raised with no handler installed");
-    if (irqPulse_[line])
+    if (irqPulse_ & (1u << line))
         pendingIrqs_ &= ~(1u << line);
     ++stats.irqsTaken;
     FUGU_TRACE(tracer_, id_, trace::Type::IrqDispatch, 0,
@@ -418,24 +441,24 @@ Cpu::dispatchIrq(unsigned line, ContextPtr ret)
     ContextPtr handler =
         spawn(kIrqNames[line], /*kernel=*/true, irqHandlers_[line](line));
     handler->setReturnTo(std::move(ret));
-    resumeContext(handler);
+    resumeContext(handler, tail);
 }
 
 void
-Cpu::resumeContext(const ContextPtr &ctx)
+Cpu::resumeContext(const ContextPtr &ctx, bool tail)
 {
     fugu_assert(!current_);
     switch (ctx->state_) {
       case CtxState::Unstarted:
         ctx->state_ = CtxState::Active;
         current_ = ctx;
-        scheduleResume(ctx->task_.handle());
+        scheduleResume(ctx->task_.handle(), tail);
         break;
       case CtxState::Ready:
       case CtxState::Blocked:
         ctx->state_ = CtxState::Active;
         current_ = ctx;
-        scheduleResume(ctx->resumePoint_);
+        scheduleResume(ctx->resumePoint_, tail);
         break;
       case CtxState::Frozen: {
         Cycle rem = ctx->remaining_;
@@ -452,14 +475,13 @@ Cpu::resumeContext(const ContextPtr &ctx)
 }
 
 void
-Cpu::scheduleResume(std::coroutine_handle<> h)
+Cpu::scheduleResume(std::coroutine_handle<> h, bool tail)
 {
     // Only the current context runs, and it is set before its hop is
     // scheduled, so a second hop cannot be pending.
-    fugu_assert(!hopEv_.scheduled(), "two context hops pending on cpu",
-                id_);
+    fugu_assert(!hop_, "two context hops pending on cpu", id_);
     hop_ = h;
-    eq_.schedule(&hopEv_, eq_.now());
+    hop(hopEv_, tail);
 }
 
 void
@@ -503,8 +525,8 @@ Cpu::endSpend(const ContextPtr &ctx, Cycle n)
         eq_.deschedule(&timerEv_);
         if (userCycles_ >= timer_.deadline) {
             timer_.active = false;
-            auto cb = timer_.cb;
-            cb(); // typically raises an IRQ; pends until next spend
+            // Typically raises an IRQ; pends until the next spend.
+            timer_.fn(timer_.arg);
         }
     }
 }
@@ -544,13 +566,14 @@ Cpu::accountCycles(const ContextPtr &ctx, Cycle n)
 // ---------------------------------------------------------------------
 
 void
-Cpu::setUserTimer(Cycle user_cycles, std::function<void()> cb)
+Cpu::setUserTimer(Cycle user_cycles, void (*fn)(void *), void *arg)
 {
     fugu_assert(user_cycles > 0, "zero user timer");
     cancelUserTimer();
     timer_.active = true;
     timer_.deadline = userCycles() + user_cycles;
-    timer_.cb = std::move(cb);
+    timer_.fn = fn;
+    timer_.arg = arg;
     if (spend_.active && spend_.ctx->preemptible())
         armTimerForSpend();
 }
@@ -562,7 +585,6 @@ Cpu::cancelUserTimer()
         return;
     eq_.deschedule(&timerEv_);
     timer_.active = false;
-    timer_.cb = nullptr;
 }
 
 Cycle
@@ -592,8 +614,7 @@ void
 Cpu::onUserTimer()
 {
     timer_.active = false;
-    auto cb = timer_.cb;
-    cb();
+    timer_.fn(timer_.arg);
 }
 
 } // namespace fugu::exec

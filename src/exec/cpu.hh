@@ -19,11 +19,10 @@
 #ifndef FUGU_EXEC_CPU_HH
 #define FUGU_EXEC_CPU_HH
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <vector>
 
 #include "exec/context.hh"
 #include "exec/task.hh"
@@ -96,8 +95,11 @@ class Cpu
     /// @name Context management (kernel / runtime code)
     /// @{
 
-    /** Create a context; it does not run until switched to. */
-    ContextPtr spawn(std::string name, bool kernel, Task task);
+    /**
+     * Create a context; it does not run until switched to. @p name
+     * must outlive it (a string literal).
+     */
+    ContextPtr spawn(const char *name, bool kernel, Task task);
 
     /**
      * Make @p ctx the current context. The Cpu must be idle (no
@@ -211,11 +213,12 @@ class Cpu
     /// @{
 
     /**
-     * Arrange for @p cb to run after @p user_cycles of *user* (i.e.
-     * preemptible-context) execution have elapsed. Kernel execution
-     * and idle time do not advance the timer. One timer slot exists.
+     * Arrange for @p fn(@p arg) to run after @p user_cycles of *user*
+     * (i.e. preemptible-context) execution have elapsed. Kernel
+     * execution and idle time do not advance the timer. One timer
+     * slot exists.
      */
-    void setUserTimer(Cycle user_cycles, std::function<void()> cb);
+    void setUserTimer(Cycle user_cycles, void (*fn)(void *), void *arg);
     void cancelUserTimer();
     bool userTimerActive() const { return timer_.active; }
     Cycle userTimerRemaining() const;
@@ -224,6 +227,17 @@ class Cpu
 
     /** Total user-context cycles executed so far. */
     Cycle userCycles() const;
+
+    /// @name Work completed in place (EventQueue::completeInPlace)
+    /// @{
+
+    /** Spends that ended without a queued spend-end event. */
+    std::uint64_t spendsInPlace() const { return spendsInPlace_; }
+
+    /** Same-cycle dispatch/resume hops run without a queued event. */
+    std::uint64_t hopsInPlace() const { return hopsInPlace_; }
+
+    /// @}
 
     struct Stats
     {
@@ -265,20 +279,57 @@ class Cpu
     {
         bool active = false;
         Cycle deadline = 0; ///< in user-cycle time (see userCycles())
-        std::function<void()> cb;
+        void (*fn)(void *) = nullptr;
+        void *arg = nullptr;
     };
 
-    /** An event owned by the Cpu that calls one of its members. */
+    /**
+     * An event owned by the Cpu that calls one of its members, then
+     * runs the hops its body completed in place (the trampoline).
+     */
     template <void (Cpu::*Fn)()>
     class Hop final : public Event
     {
       public:
         Hop(Cpu *cpu, const char *name) : Event(name), cpu_(cpu) {}
-        void process() override { (cpu_->*Fn)(); }
+
+        void
+        process() override
+        {
+            (cpu_->*Fn)();
+            cpu_->runHopsInPlace();
+        }
 
       private:
         Cpu *cpu_;
     };
+
+    /**
+     * Fire @p ev's member at now. A @p tail call site is the very last
+     * act of the Cpu event now firing (DESIGN §13): there the hop runs
+     * from that event's trampoline when the queue accepts it in place,
+     * else, and from every other call site, it is a queued event.
+     */
+    template <void (Cpu::*Fn)()>
+    void
+    hop(Hop<Fn> &ev, bool tail)
+    {
+        if (tail && eq_.completeInPlace(eq_.now())) {
+            fugu_assert(!inPlace_, "two hops in place on cpu", id_);
+            inPlace_ = Fn;
+            ++hopsInPlace_;
+        } else {
+            eq_.schedule(&ev, eq_.now());
+        }
+    }
+
+    /** The trampoline: run hops completed in place, in order. */
+    void
+    runHopsInPlace()
+    {
+        while (inPlace_)
+            (this->*std::exchange(inPlace_, nullptr))();
+    }
 
     /** Context finished (called from final_suspend). */
     void onFinished(Context *ctx);
@@ -310,20 +361,30 @@ class Cpu
     /** Freeze the current context mid/pre-spend (IRQ arrived). */
     void preemptCurrent();
 
-    /** Central dispatch decision when the Cpu goes idle. */
+    /**
+     * Central dispatch decision when the Cpu goes idle. Runs as the
+     * dispatch hop or as the tail of a block, so its own switches are
+     * tail call sites; the idle hook's switchTo() is not.
+     */
     void reschedule();
+
+    /** Arrange a dispatch decision at now (see hop() for @p tail). */
+    void requestDispatch(bool tail);
+
+    /** switchTo(): take a pending IRQ first if @p ctx is user code. */
+    void enter(ContextPtr ctx, bool tail);
 
     /** Highest-priority pending line, or -1. */
     int pendingIrqLine() const;
 
     /** Spawn and run the handler for @p line; returnTo = @p ret. */
-    void dispatchIrq(unsigned line, ContextPtr ret);
+    void dispatchIrq(unsigned line, ContextPtr ret, bool tail);
 
     /** Resume a context as current (no pending-IRQ check). */
-    void resumeContext(const ContextPtr &ctx);
+    void resumeContext(const ContextPtr &ctx, bool tail);
 
-    /** Schedule @p h to resume at now (the one pending hop). */
-    void scheduleResume(std::coroutine_handle<> h);
+    /** Resume @p h at now (the one pending context hop). */
+    void scheduleResume(std::coroutine_handle<> h, bool tail);
     void onResumeHop();
 
     /** Account user/kernel cycles for a completed slice. */
@@ -336,9 +397,9 @@ class Cpu
     EventQueue &eq_;
     NodeId id_;
 
-    std::vector<IrqHandlerFactory> irqHandlers_;
-    std::vector<bool> irqPulse_;
-    std::vector<TrapHandlerFactory> trapHandlers_;
+    std::array<IrqHandlerFactory, kNumIrqLines> irqHandlers_;
+    std::uint32_t irqPulse_ = 0; // bit per line: auto-clear on dispatch
+    std::array<TrapHandlerFactory, kNumTrapVectors> trapHandlers_;
     std::function<void()> idleHook_;
 
     std::uint32_t pendingIrqs_ = 0;
@@ -356,8 +417,11 @@ class Cpu
     Hop<&Cpu::reschedule> dispatchEv_{this, "cpu-dispatch"};
     Hop<&Cpu::onResumeHop> hopEv_{this, "ctx-resume"};
     Hop<&Cpu::onUserTimer> timerEv_{this, "user-timer"};
+    void (Cpu::*inPlace_)() = nullptr; // hop the trampoline runs next
 
     Cycle userCycles_ = 0;
+    std::uint64_t spendsInPlace_ = 0;
+    std::uint64_t hopsInPlace_ = 0;
 
     Context *ctxHead_ = nullptr;
     trace::Recorder *tracer_ = nullptr;

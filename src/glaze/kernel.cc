@@ -640,8 +640,10 @@ Kernel::onPageFault(exec::ContextPtr victim)
 exec::Task
 Kernel::onFatalTrap(exec::ContextPtr victim, const char *what)
 {
+    const rt::ThreadPtr t =
+        current_ ? current_->threads().threadOf(victim) : nullptr;
     fugu_fatal("node ", id_, ": process killed in context '",
-               victim->name(), "': ", what);
+               t ? t->name().c_str() : victim->name(), "': ", what);
     co_return;
 }
 

@@ -197,8 +197,21 @@ class Machine
     spendsInPlace() const
     {
         std::uint64_t n = 0;
-        for (const EventQueue *q : shardEq_)
-            n += q->inPlaceCompletions();
+        for (const Node &nd : nodes)
+            n += nd.cpu.spendsInPlace();
+        return n;
+    }
+
+    /**
+     * How many of eventsProcessed() were same-cycle Cpu hops
+     * (dispatch, context resume) completed in place.
+     */
+    std::uint64_t
+    hopsInPlace() const
+    {
+        std::uint64_t n = 0;
+        for (const Node &nd : nodes)
+            n += nd.cpu.hopsInPlace();
         return n;
     }
 

@@ -47,6 +47,8 @@ runJob(MachineConfig mcfg, const AppFactory &app, bool with_null,
     // violations should report them, not hide them.
     out.violations = m.checker()->totalViolations();
     out.events = m.eventsProcessed();
+    out.spendsInPlace = m.spendsInPlace();
+    out.hopsInPlace = m.hopsInPlace();
     for (const auto &f : m.allFaults()) {
         const auto &fs = f->stats;
         out.faultEvents += fs.jitteredPackets.value() +
@@ -228,6 +230,8 @@ runTrials(const MachineConfig &mcfg, const AppFactory &app,
         }
         acc.runtime += r.runtime;
         acc.events += r.events;
+        acc.spendsInPlace += r.spendsInPlace;
+        acc.hopsInPlace += r.hopsInPlace;
         acc.sent += r.sent;
         acc.direct += r.direct;
         acc.buffered += r.buffered;
@@ -245,6 +249,8 @@ runTrials(const MachineConfig &mcfg, const AppFactory &app,
     }
     acc.runtime /= trials;
     acc.events /= trials;
+    acc.spendsInPlace /= trials;
+    acc.hopsInPlace /= trials;
     acc.sent /= trials;
     acc.direct /= trials;
     acc.buffered /= trials;

@@ -45,6 +45,8 @@ struct RunStats
                                 ///< not averaged, across trials)
     double faultEvents = 0;     ///< injected fault events (summed)
     std::uint64_t events = 0;   ///< simulator events processed
+    std::uint64_t spendsInPlace = 0; ///< of events: spends in place
+    std::uint64_t hopsInPlace = 0;   ///< of events: Cpu hops in place
     bool completed = false;
 
     /**

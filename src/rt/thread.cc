@@ -13,7 +13,7 @@ Scheduler::Scheduler(exec::Cpu &cpu, const core::CostModel &costs)
 ThreadPtr
 Scheduler::spawn(std::string name, int priority, exec::Task body)
 {
-    auto ctx = cpu_.spawn(name, /*kernel=*/false, std::move(body));
+    auto ctx = cpu_.spawn("thread", /*kernel=*/false, std::move(body));
     auto t = std::make_shared<Thread>(std::move(name), priority, ctx);
     byCtx_[ctx.get()] = t;
     ++live_;

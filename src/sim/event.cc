@@ -339,7 +339,8 @@ bool
 EventQueue::completeInPlace(Cycle when)
 {
     RunFrame *f = run_;
-    if (!f || when > f->until || when - ringBase_ >= kRingSize)
+    if (!f || f->stopped || when > f->until ||
+        when - ringBase_ >= kRingSize)
         return false;
     // Every heap entry lies past the window, so only ring buckets
     // [now_, when] can hold something due first. Stale-only buckets

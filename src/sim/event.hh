@@ -32,7 +32,7 @@
  * Inside run(), an event the firing event would schedule as its very
  * last act can complete in place instead (completeInPlace): when
  * nothing else is due first, the clock simply moves to it. The Cpu
- * ends spends this way (DESIGN §13).
+ * ends spends and takes same-cycle hops this way (DESIGN §13).
  */
 
 #ifndef FUGU_SIM_EVENT_HH
@@ -273,7 +273,7 @@ class EventQueue
      * first, in schedule order, on the next call. The clock advances
      * to @p until only when the run was not stopped. Firing order and
      * the clock at every stop are exactly those of a runOne() loop.
-     * Spends completed in place (completeInPlace) count as processed
+     * Events completed in place (completeInPlace) count as processed
      * events and get their own stop() question.
      * @return number of events processed.
      */
@@ -290,7 +290,8 @@ class EventQueue
      * @p when (the rest of the current cycle's bucket included), and
      * when the run's stop() — asked here for the event now firing —
      * is false. A true stop() is remembered: run() returns right
-     * after the current event without asking again.
+     * after the current event without asking again, and no later
+     * stand-in in that event is accepted.
      * @return true if the clock moved to @p when.
      */
     bool completeInPlace(Cycle when);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "exec/coro_pool.hh"
+#include "exec/cpu.hh"
 #include "exec/task.hh"
 #include "count_new.hh"
 
@@ -116,16 +117,15 @@ TEST(CoroPoolTest, CoroutineFramesAndContextsArePooled)
     }
     EXPECT_EQ(g_newCalls.load(), news) << "Task frames bypass the pool";
 
-    struct Obj
-    {
-        char bytes[100];
-    };
-    cp::Allocator<Obj> alloc;
-    std::allocate_shared<Obj>(alloc).reset();
+    // Cpu::spawn builds each Context in a pooled block.
+    fugu::EventQueue q;
+    fugu::StatGroup sg("pool");
+    Cpu cpu(q, 0, &sg);
+    cpu.spawn("warm", false, body()).reset();
     news = g_newCalls.load();
     for (int i = 0; i < 100; ++i)
-        std::allocate_shared<Obj>(alloc).reset();
-    EXPECT_EQ(g_newCalls.load(), news) << "allocate_shared bypasses it";
+        cpu.spawn("t", false, body()).reset();
+    EXPECT_EQ(g_newCalls.load(), news) << "Contexts bypass the pool";
 }
 
 TEST(CoroPoolTest, BlockFreedOnAnotherThreadJoinsThatThreadsList)

@@ -4,14 +4,19 @@
  *
  * These tests pin down the semantics everything else relies on:
  * exact-cycle preemption of user contexts, kernel non-preemptibility,
- * trap control flow, return-path stealing, and the user-cycle timer
- * that backs the NI atomicity timer.
+ * trap control flow, return-path stealing, the user-cycle timer
+ * that backs the NI atomicity timer, ContextPtr's intrusive count,
+ * and spends and same-cycle hops completed in place (each checked
+ * against a runOne() step loop, which never completes anything in
+ * place).
  */
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
+#include "exec/coro_pool.hh"
 #include "exec/cpu.hh"
 #include "sim/event.hh"
 #include "sim/log.hh"
@@ -38,6 +43,15 @@ struct CpuTest : ::testing::Test
     std::vector<Cycle> log;
     std::vector<std::string> trace;
 };
+
+/** Arm @p cpu's user timer to call @p cb, which must outlive it. */
+template <typename F>
+void
+armTimer(Cpu &cpu, Cycle user_cycles, F &cb)
+{
+    cpu.setUserTimer(
+        user_cycles, [](void *f) { (*static_cast<F *>(f))(); }, &cb);
+}
 
 Task
 spendTwice(Cpu *cpu, std::vector<Cycle> *log, Cycle a, Cycle b)
@@ -337,7 +351,8 @@ TEST_F(CpuTest, UserTimerCountsOnlyUserCycles)
     });
     Cycle fired_at = 0;
     auto ctx = cpu.spawn("u", false, timedUser(&cpu, &log));
-    cpu.setUserTimer(100, [&] { fired_at = eq.now(); });
+    auto on_timer = [&] { fired_at = eq.now(); };
+    armTimer(cpu, 100, on_timer);
     cpu.switchTo(ctx);
     eq.run();
     // 40 user + 500 kernel + 60 user = wall 600 when 100 user cycles
@@ -350,7 +365,8 @@ TEST_F(CpuTest, UserTimerCancel)
 {
     Cycle fired_at = 0;
     auto ctx = cpu.spawn("u", false, spendTwice(&cpu, &log, 50, 50));
-    cpu.setUserTimer(80, [&] { fired_at = eq.now(); });
+    auto on_timer = [&] { fired_at = eq.now(); };
+    armTimer(cpu, 80, on_timer);
     cpu.switchTo(ctx);
     eq.scheduleFn([&] { cpu.cancelUserTimer(); }, 60);
     eq.run();
@@ -365,7 +381,8 @@ TEST_F(CpuTest, UserTimerFiringExactlyAtSpendEndPendsInterrupt)
         return kernelHandler(&cpu, &trace, 9, ~0u);
     }, /*pulse=*/true);
     auto ctx = cpu.spawn("u", false, spendTwice(&cpu, &log, 50, 50));
-    cpu.setUserTimer(50, [&] { cpu.raiseIrq(0); });
+    auto on_timer = [&] { cpu.raiseIrq(0); };
+    armTimer(cpu, 50, on_timer);
     cpu.switchTo(ctx);
     eq.run();
     // First spend completes at 50; IRQ taken before the second spend
@@ -380,7 +397,8 @@ TEST_F(CpuTest, UserTimerPreemptsMidSpend)
         return kernelHandler(&cpu, &trace, 9, ~0u);
     }, /*pulse=*/true);
     auto ctx = cpu.spawn("u", false, spendTwice(&cpu, &log, 100, 10));
-    cpu.setUserTimer(30, [&] { cpu.raiseIrq(0); });
+    auto on_timer = [&] { cpu.raiseIrq(0); };
+    armTimer(cpu, 30, on_timer);
     cpu.switchTo(ctx);
     eq.run();
     // Fire at 30 mid-spend; handler 30-39; resume 39, finish at 109.
@@ -391,7 +409,7 @@ TEST_F(CpuTest, UserTimerPreemptsMidSpend)
 TEST_F(CpuTest, UserTimerRemainingReflectsProgress)
 {
     auto ctx = cpu.spawn("u", false, spendTwice(&cpu, &log, 50, 50));
-    cpu.setUserTimer(200, [] {});
+    cpu.setUserTimer(200, [](void *) {}, nullptr);
     cpu.switchTo(ctx);
     eq.scheduleFn(
         [&] { EXPECT_EQ(cpu.userTimerRemaining(), 170u); }, 30);
@@ -421,29 +439,44 @@ TEST_F(CpuTest, DeterministicRerun)
     EXPECT_EQ(t1, t2);
 }
 
+/**
+ * Counts the coroutine frames holding one: a LifeProbe parameter is
+ * copied into the frame and dies only when the frame is destroyed,
+ * which for a Context's top-level task is when the Context is.
+ */
+struct LifeProbe
+{
+    explicit LifeProbe(int *live) : live(live) { ++*live; }
+    LifeProbe(const LifeProbe &o) : live(o.live) { ++*live; }
+    LifeProbe &operator=(const LifeProbe &) = delete;
+    ~LifeProbe() { --*live; }
+
+    int *live;
+};
+
 Task
-parkHoldingSelf(Cpu *cpu, ContextPtr *slot)
+parkHoldingSelf(Cpu *cpu, ContextPtr *slot, LifeProbe probe)
 {
     // Body runs only once switched to, after the caller filled *slot.
     ContextPtr self = *slot;
     co_await cpu->block();
     // Never resumed; `self` keeps the Context alive from inside its
-    // own coroutine frame (a shared_ptr cycle).
+    // own coroutine frame (a reference cycle).
     (void)self;
+    (void)probe;
 }
 
 TEST_F(CpuTest, TeardownFreesBlockedContexts)
 {
-    std::weak_ptr<Context> observed;
+    int live = 0;
     {
         EventQueue q;
         StatGroup sg("t2");
         Cpu c(q, 0, &sg);
         ContextPtr slot;
-        ContextPtr ctx = c.spawn("parked", false,
-                                 parkHoldingSelf(&c, &slot));
+        ContextPtr ctx = c.spawn(
+            "parked", false, parkHoldingSelf(&c, &slot, LifeProbe(&live)));
         slot = ctx;
-        observed = ctx;
         c.switchTo(ctx);
         q.run();
         EXPECT_EQ(ctx->state(), CtxState::Blocked);
@@ -451,9 +484,150 @@ TEST_F(CpuTest, TeardownFreesBlockedContexts)
         ctx.reset();
         // Only the frame's self-reference remains: without the Cpu's
         // context registry this cycle would leak.
-        EXPECT_FALSE(observed.expired());
+        EXPECT_EQ(live, 1);
     }
-    EXPECT_TRUE(observed.expired());
+    EXPECT_EQ(live, 0);
+}
+
+// ---------------------------------------------------------------------
+// ContextPtr: an intrusive single-thread count
+// ---------------------------------------------------------------------
+
+Task
+probed(Cpu *cpu, LifeProbe probe)
+{
+    co_await cpu->spend(1);
+    (void)probe;
+}
+
+TEST_F(CpuTest, ContextPtrCountsCopiesMovesAndResets)
+{
+    int live = 0;
+    ContextPtr a = cpu.spawn("t", false, probed(&cpu, LifeProbe(&live)));
+    EXPECT_EQ(a.useCount(), 1u);
+
+    ContextPtr b = a; // copy
+    EXPECT_EQ(a.useCount(), 2u);
+    EXPECT_TRUE(a == b);
+
+    ContextPtr c = std::move(b); // move: no new reference
+    EXPECT_FALSE(b);
+    EXPECT_EQ(b.useCount(), 0u);
+    EXPECT_TRUE(b == nullptr);
+    EXPECT_EQ(c.useCount(), 2u);
+
+    ContextPtr &alias = c;
+    c = alias; // self copy-assignment
+    EXPECT_EQ(c.useCount(), 2u);
+    c = std::move(alias); // self move-assignment
+    EXPECT_EQ(c.useCount(), 2u);
+    EXPECT_EQ(c.get(), a.get());
+
+    b = c; // copy-assign into an empty pointer
+    EXPECT_EQ(a.useCount(), 3u);
+    b = nullptr;
+    EXPECT_EQ(a.useCount(), 2u);
+
+    c.reset();
+    EXPECT_FALSE(c);
+    c.reset(); // resetting an empty pointer is a no-op
+    EXPECT_EQ(a.useCount(), 1u);
+    EXPECT_EQ(live, 1);
+    EXPECT_EQ(a->state(), CtxState::Unstarted);
+
+    a.reset();
+    EXPECT_EQ(live, 0);
+}
+
+TEST(ContextPtrTest, LastReleaseDestroysTheContextAndReturnsItsBlock)
+{
+    // A fresh thread starts with an empty pool cache, so the blocks
+    // its lists hold afterwards are exactly those freed there.
+    constexpr std::size_t kCtxClass =
+        (sizeof(Context) - 1) / coro_pool::kGrain;
+    auto cached = [] {
+        std::size_t n = 0;
+        for (std::size_t c = 0; c < coro_pool::kClasses; ++c)
+            n += coro_pool::cachedBlocks(c);
+        return n;
+    };
+    int live = 0;
+    int live_shared = -1;
+    std::size_t cached_shared = 1, ctx_class_after = 0, cached_after = 0;
+    std::thread([&] {
+        EventQueue q;
+        StatGroup sg("p");
+        Cpu c(q, 0, &sg);
+        ContextPtr ctx =
+            c.spawn("t", false, probed(&c, LifeProbe(&live)));
+        ContextPtr other = ctx;
+        ctx.reset(); // not the last reference: nothing is freed
+        live_shared = live;
+        cached_shared = cached();
+        other.reset(); // the last one: Context and frame are freed
+        ctx_class_after = coro_pool::cachedBlocks(kCtxClass);
+        cached_after = cached();
+    }).join();
+    EXPECT_EQ(live_shared, 1);
+    EXPECT_EQ(cached_shared, 0u);
+    EXPECT_EQ(live, 0);
+    EXPECT_GE(ctx_class_after, 1u); // the Context's own block
+    EXPECT_EQ(cached_after, 2u);    // it and the task's frame
+}
+
+/** The message-available stub: chain itself -> upcall -> interrupted. */
+Task
+stubTask(Cpu *cpu, std::vector<std::string> *trace, LifeProbe probe,
+         Task upcall)
+{
+    co_await cpu->spend(5);
+    trace->push_back("stub@" + std::to_string(cpu->now()));
+    cpu->lowerIrq(0);
+    const ContextPtr &self = cpu->current();
+    ContextPtr interrupted = self->takeReturnTo();
+    ContextPtr up = cpu->spawn("upcall", false, std::move(upcall));
+    up->setReturnTo(std::move(interrupted));
+    self->setReturnTo(std::move(up));
+    (void)probe;
+}
+
+Task
+upcallTask(Cpu *cpu, std::vector<std::string> *trace, LifeProbe probe)
+{
+    co_await cpu->spend(10);
+    trace->push_back("upcall@" + std::to_string(cpu->now()));
+    (void)probe;
+}
+
+Task
+threadTask(Cpu *cpu, std::vector<Cycle> *log, LifeProbe probe)
+{
+    co_await cpu->spend(100);
+    log->push_back(cpu->now());
+    (void)probe;
+}
+
+TEST_F(CpuTest, StubUpcallThreadReturnChainIsFreed)
+{
+    int live = 0;
+    cpu.setIrqHandler(0, [&](unsigned) {
+        return stubTask(&cpu, &trace, LifeProbe(&live),
+                        upcallTask(&cpu, &trace, LifeProbe(&live)));
+    });
+    ContextPtr thread =
+        cpu.spawn("thread", false, threadTask(&cpu, &log, LifeProbe(&live)));
+    cpu.switchTo(thread);
+    eq.scheduleFn([&] { cpu.raiseIrq(0); }, 40);
+    eq.run();
+    // Preempted at 40, stub 40-45, upcall 45-55, thread resumes and
+    // spends its remaining 60 cycles.
+    EXPECT_EQ(trace, (std::vector<std::string>{"stub@45", "upcall@55"}));
+    EXPECT_EQ(log, (std::vector<Cycle>{115}));
+    EXPECT_TRUE(thread->finished());
+    EXPECT_EQ(thread.useCount(), 1u);
+    EXPECT_EQ(live, 1); // stub and upcall are gone; the thread is held
+    thread.reset();
+    EXPECT_EQ(live, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -501,11 +675,12 @@ struct SpendScenario
             return kernelHandler(&c, &r.trace, 9, ~0u);
         }, /*pulse=*/true);
         auto ctx = c.spawn("u", false, spendLogged(&c, &r.trace, a, b));
+        auto on_timer = [&] {
+            r.trace.push_back("timer@" + std::to_string(q.now()));
+            c.raiseIrq(0);
+        };
         if (timer > 0)
-            c.setUserTimer(timer, [&] {
-                r.trace.push_back("timer@" + std::to_string(q.now()));
-                c.raiseIrq(0);
-            });
+            armTimer(c, timer, on_timer);
         if (irqAt > 0)
             q.scheduleFn([&] { c.raiseIrq(0); }, irqAt);
         c.switchTo(ctx);
@@ -515,7 +690,7 @@ struct SpendScenario
         else
             r.events = q.run();
         EXPECT_TRUE(ctx->finished());
-        r.inPlace = q.inPlaceCompletions();
+        r.inPlace = c.spendsInPlace();
         r.preemptions = c.stats.preemptions.value();
         r.userCycles = c.stats.userCycles.value();
         return r;
@@ -582,6 +757,158 @@ TEST_F(CpuTest, IrqRaisedInsideASpendStillPreemptsMidSpend)
     EXPECT_DOUBLE_EQ(r.userCycles, 110.0);
     EXPECT_GE(r.inPlace, 1u); // the handler's and the last spend
     expectSameAsStepped(sc, r);
+}
+
+// ---------------------------------------------------------------------
+// Same-cycle hops that complete in place
+// ---------------------------------------------------------------------
+
+Task
+trapAtOnce(Cpu *cpu, std::vector<std::string> *trace)
+{
+    trace->push_back("u@" + std::to_string(cpu->now()));
+    co_await cpu->trap(3, 0);
+    trace->push_back("u-back@" + std::to_string(cpu->now()));
+    co_await cpu->spend(10);
+    trace->push_back("u@" + std::to_string(cpu->now()));
+}
+
+Task
+loggedTrapHandler(Cpu *cpu, std::vector<std::string> *trace)
+{
+    trace->push_back("h@" + std::to_string(cpu->now()));
+    co_await cpu->spend(4);
+}
+
+/**
+ * A user context that traps as soon as it starts, optionally with a
+ * foreign event queued behind its start in the same cycle, driven by
+ * run() or by a runOne() loop.
+ */
+struct HopScenario
+{
+    bool foreign = false;
+
+    struct Result
+    {
+        std::vector<std::string> trace;
+        std::uint64_t events = 0;
+        std::uint64_t hopsInPlace = 0;
+        Cycle end = 0;
+    };
+
+    Result
+    run(bool stepped) const
+    {
+        Result r;
+        EventQueue q;
+        StatGroup sg("h");
+        Cpu c(q, 0, &sg);
+        c.setTrapHandler(3, [&](ContextPtr) {
+            return loggedTrapHandler(&c, &r.trace);
+        });
+        auto ctx = c.spawn("u", false, trapAtOnce(&c, &r.trace));
+        c.switchTo(ctx); // its start is a queued hop at cycle 0
+        if (foreign)
+            q.scheduleFn([&] { r.trace.push_back("F@0"); }, 0);
+        if (stepped)
+            while (q.runOne())
+                ++r.events;
+        else
+            r.events = q.run();
+        EXPECT_TRUE(ctx->finished());
+        r.hopsInPlace = c.hopsInPlace();
+        r.end = q.now();
+        return r;
+    }
+};
+
+TEST_F(CpuTest, TailHopsCompleteInPlaceWhenNothingElseIsDue)
+{
+    const HopScenario sc{};
+    const auto r = sc.run(false);
+    EXPECT_EQ(r.trace, (std::vector<std::string>{"u@0", "h@0", "u-back@4",
+                                                 "u@14"}));
+    // The trap's handler start, the dispatch after it finishes, the
+    // victim's resume and the dispatch after the victim finishes.
+    EXPECT_EQ(r.hopsInPlace, 4u);
+    const auto ref = sc.run(true);
+    EXPECT_EQ(ref.hopsInPlace, 0u);
+    EXPECT_EQ(r.trace, ref.trace);
+    EXPECT_EQ(r.events, ref.events);
+    EXPECT_EQ(r.end, ref.end);
+}
+
+TEST_F(CpuTest, ForeignEventInTheSameCycleFiresBeforeTheResumedContext)
+{
+    // The foreign event is queued behind the context's start, so the
+    // trap handler's hop cannot complete in place: it fires after the
+    // foreign event, as it does in a step loop.
+    const HopScenario sc{/*foreign=*/true};
+    const auto r = sc.run(false);
+    EXPECT_EQ(r.trace, (std::vector<std::string>{"u@0", "F@0", "h@0",
+                                                 "u-back@4", "u@14"}));
+    EXPECT_EQ(r.hopsInPlace, 3u);
+    const auto ref = sc.run(true);
+    EXPECT_EQ(r.trace, ref.trace);
+    EXPECT_EQ(r.events, ref.events);
+    EXPECT_EQ(r.end, ref.end);
+}
+
+TEST_F(CpuTest, StopAtAFinishingContextMatchesAStepLoop)
+{
+    // stop() turns true when the context finishes: run() must return
+    // right after that event, with the dispatch hop still queued, on
+    // the clock and count of a runOne() loop asking the same question.
+    struct Out
+    {
+        Cycle now = 0;
+        std::uint64_t events = 0;
+        std::size_t pending = 0;
+        std::uint64_t hopsInPlace = 0;
+        std::uint64_t total = 0;
+    };
+    auto go = [](bool stepped) {
+        Out o;
+        EventQueue q;
+        StatGroup sg("s");
+        Cpu c(q, 0, &sg);
+        std::vector<Cycle> lg;
+        int idles = 0;
+        c.setIdleHook([&] { ++idles; });
+        auto ctx = c.spawn("u", false, spendTwice(&c, &lg, 10, 20));
+        c.switchTo(ctx);
+        q.scheduleFn([] {}, 100); // keeps the queue busy past the stop
+        auto stop = [&] { return ctx->finished(); };
+        if (stepped) {
+            do {
+                q.runOne();
+                ++o.events;
+            } while (!stop());
+        } else {
+            o.events = q.run(kMaxCycle, stop);
+        }
+        o.now = q.now();
+        o.pending = q.pending();
+        o.hopsInPlace = c.hopsInPlace();
+        EXPECT_EQ(idles, 0); // the dispatch has not run yet
+        o.total = o.events;
+        if (stepped)
+            while (q.runOne())
+                ++o.total;
+        else
+            o.total += q.run();
+        EXPECT_EQ(idles, 1);
+        return o;
+    };
+    const Out r = go(false), ref = go(true);
+    EXPECT_EQ(r.now, 30u);
+    EXPECT_EQ(r.now, ref.now);
+    EXPECT_EQ(r.events, ref.events);
+    EXPECT_EQ(r.pending, 2u); // the dispatch hop and the event at 100
+    EXPECT_EQ(r.pending, ref.pending);
+    EXPECT_EQ(r.hopsInPlace, 0u);
+    EXPECT_EQ(r.total, ref.total);
 }
 
 } // namespace

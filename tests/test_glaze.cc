@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "glaze/machine.hh"
@@ -347,6 +348,36 @@ TEST_F(GlazeTest, HandlerWithoutDisposeIsFatal)
     });
     m.installJob(job);
     EXPECT_THROW(m.runUntilDone(job, 1000000), SimError);
+}
+
+CoTask<void>
+disposeNothing(Process &p)
+{
+    co_await p.port().dispose(); // no message: bad-dispose trap
+}
+
+TEST_F(GlazeTest, FatalTrapNamesTheTrappingThread)
+{
+    // Thread contexts all carry the literal name "thread"; the kernel
+    // names the victim through its process's Scheduler instead.
+    MachineConfig cfg;
+    cfg.nodes = 2;
+    Machine m(cfg);
+    Job *job = m.addJob("bad", [](Process &p) -> CoTask<void> {
+        if (p.node() == 0)
+            return disposeNothing(p);
+        return idleMain(p);
+    });
+    m.installJob(job);
+    std::string what;
+    try {
+        m.runUntilDone(job, 1000000);
+    } catch (const SimError &e) {
+        what = e.message;
+    }
+    EXPECT_NE(what.find("in context 'bad-main': bad-dispose"),
+              std::string::npos)
+        << what;
 }
 
 TEST_F(GlazeTest, DeterministicRerun)

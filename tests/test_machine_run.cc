@@ -11,7 +11,9 @@
  *    same statistics — with batched firing on and off. The drain
  *    completes spends in place and the step loop never does, so this
  *    pins in-place completion as exact. The cycle budget gives up
- *    after the same event, and saturates on a clock past 0.
+ *    after the same event, and saturates on a clock past 0. With
+ *    tracing on, the two runs also record the same trace bytes, so
+ *    the same interrupt handlers ran in the same order.
  *  - A warm machine delivers messages (almost) without heap traffic:
  *    coroutine frames and Contexts come from the thread-local
  *    coroutine pool, events from the queue's pools, packets travel
@@ -27,6 +29,7 @@
 #include "apps/workloads.hh"
 #include "glaze/machine.hh"
 #include "sim/log.hh"
+#include "trace/export.hh"
 #include "count_new.hh"
 
 namespace
@@ -40,12 +43,14 @@ constexpr double kMaxAllocsPerMsg = 0.05;
 
 struct Fig10Machine
 {
-    explicit Fig10Machine(bool batch_fire = true)
+    explicit Fig10Machine(bool batch_fire = true, bool traced = false)
     {
         MachineConfig cfg;
         cfg.nodes = 4;
         cfg.seed = 1;
         cfg.batchFire = batch_fire;
+        cfg.trace.enabled = traced;
+        cfg.trace.maxEvents = 0; // unbounded: compare every record
         cfg.costs.bufferedPathExtra += 400;
         m = std::make_unique<Machine>(cfg);
         apps::SynthAppConfig sc;
@@ -103,13 +108,54 @@ TEST_P(MachineRunTest, RunUntilDoneMatchesAStepLoop)
 
     EXPECT_GT(drained.delivered(/*buffered_only=*/true), 0u)
         << "run never took the buffered path";
-    // The drain completes spends in place; the step loop never does,
-    // and the in-place ones still count as processed events.
+    // The drain completes spends and same-cycle Cpu hops in place;
+    // the step loop never does, and the in-place ones still count as
+    // processed events.
     EXPECT_GT(drained.m->spendsInPlace(), 0u);
     EXPECT_EQ(stepped.m->spendsInPlace(), 0u);
+    EXPECT_GT(drained.m->hopsInPlace(), 0u);
+    EXPECT_EQ(stepped.m->hopsInPlace(), 0u);
     EXPECT_EQ(drained.m->eventsProcessed(), events);
     EXPECT_EQ(drained.m->now(), stepped.m->now());
     EXPECT_EQ(drained.stats(), stepped.stats());
+}
+
+TEST_P(MachineRunTest, DrainedAndSteppedRunsTraceTheSameBytes)
+{
+    Fig10Machine drained(GetParam(), /*traced=*/true);
+    ASSERT_TRUE(drained.m->runUntilDone(drained.job));
+
+    Fig10Machine stepped(GetParam(), /*traced=*/true);
+    std::uint64_t events = 0;
+    while (!stepped.job->done() && stepped.m->eq.runOne())
+        ++events;
+    ASSERT_TRUE(stepped.job->done());
+
+    EXPECT_GT(drained.m->hopsInPlace(), 0u);
+    EXPECT_EQ(stepped.m->hopsInPlace(), 0u);
+    EXPECT_EQ(drained.m->eventsProcessed(), events);
+    EXPECT_EQ(drained.stats(), stepped.stats());
+
+    const trace::TraceBuffer a = drained.m->mergedTrace();
+    const trace::TraceBuffer b = stepped.m->mergedTrace();
+    // Handler order: every interrupt dispatch, with node, cycle and
+    // line, in recording order.
+    auto dispatches = [](const trace::TraceBuffer &t) {
+        std::vector<trace::TraceEvent> out;
+        for (const trace::TraceEvent &e : t.snapshot())
+            if (e.type ==
+                static_cast<std::uint8_t>(trace::Type::IrqDispatch))
+                out.push_back(e);
+        return out;
+    };
+    const auto da = dispatches(a);
+    EXPECT_GT(da.size(), 1000u);
+    EXPECT_TRUE(da == dispatches(b)) << "handler order differs";
+    std::ostringstream ba, bb;
+    trace::writeBinary(ba, a);
+    trace::writeBinary(bb, b);
+    EXPECT_EQ(a.total(), b.total());
+    EXPECT_TRUE(ba.str() == bb.str()) << "trace bytes differ";
 }
 
 TEST_P(MachineRunTest, CycleLimitStopsRightAfterTheCrossingEvent)

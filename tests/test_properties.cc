@@ -44,12 +44,14 @@ std::string
 paramName(const ::testing::TestParamInfo<StormParams> &info)
 {
     const StormParams &p = info.param;
-    return "n" + std::to_string(p.nodes) + "_m" +
-           std::to_string(p.messagesPerNode) + "_skew" +
-           std::to_string(int(p.skew * 100)) + "_q" +
-           std::to_string(p.quantum) + "_to" +
-           std::to_string(p.atomicityTimeout) + "_s" +
-           std::to_string(p.seed);
+    std::string name = "n";
+    name += std::to_string(p.nodes);
+    name += "_m" + std::to_string(p.messagesPerNode);
+    name += "_skew" + std::to_string(int(p.skew * 100));
+    name += "_q" + std::to_string(p.quantum);
+    name += "_to" + std::to_string(p.atomicityTimeout);
+    name += "_s" + std::to_string(p.seed);
+    return name;
 }
 
 struct StormState
