@@ -5,13 +5,17 @@
  * host events/sec for:
  *
  *  - schedule/fire  : chained one-shot scheduleFn lambdas with a
- *    realistic (~56-byte) capture, 64 in flight;
+ *    realistic (~56-byte) capture, 64 in flight, all in the near
+ *    band (linked into and popped from ring buckets);
  *  - event/fire     : intrusive Event subclasses self-rescheduling
  *    from process(), the Cpu::spend shape;
- *  - schedule/cancel: scheduleFn followed by cancelFn via handles;
- *  - reschedule     : periodic-event reschedule churn, which also
- *    exercises stale-entry compaction (the seed kernel's heap grew by
- *    one dead entry per reschedule, forever).
+ *  - schedule/cancel: scheduleFn followed by cancelFn via handles,
+ *    1000-2023 cycles out: mostly far-band churn, so nearly every
+ *    cancel leaves a stale heap entry for the lazy sweep;
+ *  - reschedule     : periodic-event reschedule churn, mostly past the
+ *    ring window, which exercises the far band's stale-entry
+ *    compaction (the seed kernel's heap grew by one dead entry per
+ *    reschedule, forever).
  *
  * Scale with engine.events / FUGU_BENCH_N (default 2,000,000 events
  * per section, 200,000 under FUGU_QUICK). Writes BENCH_engine.json

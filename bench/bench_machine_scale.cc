@@ -90,6 +90,7 @@ struct Cell
     std::uint64_t events;
     std::uint64_t spendsInPlace; // of events: completed in place
     std::uint64_t hopsInPlace;
+    std::uint64_t inPlaceRefused; // in-place checks that got an event
     double eps;
     double speedup;
     std::uint64_t peakRssKb;
@@ -143,11 +144,11 @@ main(int argc, char **argv)
         std::printf("Machine-simulation scale sweep (synth: "
                     "%u groups/node x %u requests)\n",
                     groups, requests);
-        std::printf("%-6s  %6s  %6s  %8s  %12s  %10s  %10s  %14s  %8s  "
-                    "%10s\n",
+        std::printf("%-6s  %6s  %6s  %8s  %12s  %10s  %10s  %10s  %14s  "
+                    "%8s  %10s\n",
                     "app", "nodes", "shards", "secs", "events",
-                    "spends-ip", "hops-ip", "events/sec", "speedup",
-                    "rss/node");
+                    "spends-ip", "hops-ip", "ip-refused", "events/sec",
+                    "speedup", "rss/node");
 
         // (app, nodes) -> the shards=1 oracle's events/sec.
         std::map<std::pair<std::string, unsigned>, double> serialEps;
@@ -206,6 +207,7 @@ main(int argc, char **argv)
                     c.events = r.events;
                     c.spendsInPlace = r.spendsInPlace;
                     c.hopsInPlace = r.hopsInPlace;
+                    c.inPlaceRefused = r.inPlaceRefused;
                     c.eps = r.events / secs;
                     if (shards == 1)
                         serialEps[{app, nodes}] = c.eps;
@@ -219,7 +221,7 @@ main(int argc, char **argv)
                             : 0.0;
 
                     std::printf("%-6s  %6u  %6u  %8.3f  %12llu  %10llu  "
-                                "%10llu  %14.0f  %7.2fx  %8.1fK\n",
+                                "%10llu  %10llu  %14.0f  %7.2fx  %8.1fK\n",
                                 app.c_str(), c.nodes, c.shards, c.secs,
                                 static_cast<unsigned long long>(
                                     c.events),
@@ -227,6 +229,8 @@ main(int argc, char **argv)
                                     c.spendsInPlace),
                                 static_cast<unsigned long long>(
                                     c.hopsInPlace),
+                                static_cast<unsigned long long>(
+                                    c.inPlaceRefused),
                                 c.eps, c.speedup, c.rssPerNodeKb);
                     ctx.report.row(
                         {{"app", app},
@@ -236,6 +240,7 @@ main(int argc, char **argv)
                          {"events", c.events},
                          {"spends_in_place", c.spendsInPlace},
                          {"hops_in_place", c.hopsInPlace},
+                         {"in_place_refused", c.inPlaceRefused},
                          {"events_per_sec", c.eps},
                          {"speedup_vs_serial", c.speedup},
                          {"peak_rss_kb", c.peakRssKb},

@@ -216,6 +216,20 @@ class Machine
     }
 
     /**
+     * In-place checks the shard queues refused
+     * (EventQueue::inPlaceRefused): each spend or hop that got an
+     * event after asking.
+     */
+    std::uint64_t
+    inPlaceRefused() const
+    {
+        std::uint64_t n = 0;
+        for (const EventQueue *q : shardEq_)
+            n += q->inPlaceRefused();
+        return n;
+    }
+
+    /**
      * A cycle stamp safe to read from any shard thread (the current
      * phase's bound). Serial machines report the exact clock. Used by
      * the invariant checker's diagnostics.

@@ -49,6 +49,7 @@ runJob(MachineConfig mcfg, const AppFactory &app, bool with_null,
     out.events = m.eventsProcessed();
     out.spendsInPlace = m.spendsInPlace();
     out.hopsInPlace = m.hopsInPlace();
+    out.inPlaceRefused = m.inPlaceRefused();
     for (const auto &f : m.allFaults()) {
         const auto &fs = f->stats;
         out.faultEvents += fs.jitteredPackets.value() +
@@ -232,6 +233,7 @@ runTrials(const MachineConfig &mcfg, const AppFactory &app,
         acc.events += r.events;
         acc.spendsInPlace += r.spendsInPlace;
         acc.hopsInPlace += r.hopsInPlace;
+        acc.inPlaceRefused += r.inPlaceRefused;
         acc.sent += r.sent;
         acc.direct += r.direct;
         acc.buffered += r.buffered;
@@ -251,6 +253,7 @@ runTrials(const MachineConfig &mcfg, const AppFactory &app,
     acc.events /= trials;
     acc.spendsInPlace /= trials;
     acc.hopsInPlace /= trials;
+    acc.inPlaceRefused /= trials;
     acc.sent /= trials;
     acc.direct /= trials;
     acc.buffered /= trials;

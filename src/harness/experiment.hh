@@ -47,6 +47,7 @@ struct RunStats
     std::uint64_t events = 0;   ///< simulator events processed
     std::uint64_t spendsInPlace = 0; ///< of events: spends in place
     std::uint64_t hopsInPlace = 0;   ///< of events: Cpu hops in place
+    std::uint64_t inPlaceRefused = 0; ///< in-place checks refused
     bool completed = false;
 
     /**

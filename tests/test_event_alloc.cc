@@ -3,7 +3,8 @@
  * Allocation tests for the event kernel: after warm-up, the
  * schedule/fire, schedule/cancel and reschedule hot paths must not
  * touch the global heap at all — pooled LambdaEvents, inline SmallFn
- * storage, and recycled slot/bucket/heap capacity cover steady state.
+ * storage, near-band buckets linked through the events themselves,
+ * and recycled far-band slot/heap capacity cover steady state.
  *
  * The global operator new/delete are replaced with counting versions;
  * each test warms the queue up (growing pools and vector capacity),
@@ -43,9 +44,7 @@ struct Chain
 TEST(EventAllocTest, ScheduleFireSteadyStateIsAllocationFree)
 {
     EventQueue eq;
-    // Warm-up grows the pools and every ring bucket's capacity: with
-    // 64 in flight the clock moves one cycle per 64 events, so one
-    // full wrap of the ring needs 64 * 1024 events.
+    // Warm-up grows the lambda pool to the 64 in flight.
     std::uint64_t remaining = 70000;
     for (unsigned i = 0; i < 64; ++i)
         eq.scheduleFn(Chain{&eq, &remaining, {}}, eq.now() + 1,
@@ -112,6 +111,66 @@ TEST(EventAllocTest, RescheduleChurnSteadyStateIsAllocationFree)
         eq.deschedule(&ev);
     eq.run();
     EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventAllocTest, NearBandChurnSteadyStateIsAllocationFree)
+{
+    struct Nop : Event
+    {
+        Nop() : Event("nop") {}
+        void process() override {}
+    };
+
+    EventQueue eq;
+    std::vector<Nop> evs(32);
+    std::vector<EventHandle> handles(64);
+    int sink = 0;
+    // Schedule, cancel and reschedule inside the ring window, with
+    // the clock moving between rounds, so buckets fill and empty.
+    auto round = [&](std::uint64_t r) {
+        for (std::size_t i = 0; i < evs.size(); ++i) {
+            if (!evs[i].scheduled())
+                eq.schedule(&evs[i], eq.now() + (r + i) % 700);
+            eq.reschedule(&evs[(i * 7 + r) % evs.size()],
+                          eq.now() + (i * 13 + r) % 900);
+            if ((i + r) % 3 == 0)
+                eq.deschedule(&evs[(i + 5) % evs.size()]);
+        }
+        for (std::size_t i = 0; i < handles.size(); ++i)
+            handles[i] = eq.scheduleFn([&sink] { ++sink; },
+                                       eq.now() + (r * 31 + i) % 1000,
+                                       "churn");
+        for (std::size_t i = 0; i < handles.size(); i += 2)
+            eq.cancelFn(handles[i]);
+        eq.run(eq.now() + 3);
+    };
+    for (std::uint64_t r = 0; r < 2000; ++r) // warm-up
+        round(r);
+    const std::uint64_t before = g_newCalls.load();
+    for (std::uint64_t r = 2000; r < 6000; ++r)
+        round(r);
+    EXPECT_EQ(g_newCalls.load(), before)
+        << "near-band churn steady state allocated";
+    for (auto &ev : evs)
+        eq.deschedule(&ev);
+    eq.run();
+    EXPECT_GT(sink, 0);
+}
+
+TEST(EventAllocTest, PrepareBulkMakesFarBandSchedulesAllocationFree)
+{
+    constexpr std::size_t kN = 4096;
+    EventQueue eq;
+    int sink = 0;
+    eq.prepareBulk(kN);
+    const std::uint64_t before = g_newCalls.load();
+    for (std::size_t i = 0; i < kN; ++i)
+        eq.scheduleFn([&sink] { ++sink; }, eq.now() + 5000 + i % 3000,
+                      "bulk");
+    EXPECT_EQ(g_newCalls.load(), before)
+        << "a prepared far-band schedule allocated";
+    EXPECT_EQ(eq.run(), kN);
+    EXPECT_EQ(sink, static_cast<int>(kN));
 }
 
 } // namespace

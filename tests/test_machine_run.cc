@@ -197,9 +197,8 @@ INSTANTIATE_TEST_SUITE_P(BatchFire, MachineRunTest, ::testing::Bool(),
 TEST(MachineAllocTest, WarmMessagePathBarelyAllocates)
 {
     // Learn the run's length on one machine, then replay it on a
-    // second: run the first half uncounted (warm-up: pools, tables
-    // and queue buckets reach their high-water marks), count the
-    // second half.
+    // second: run the first half uncounted (warm-up: pools and tables
+    // reach their high-water marks), count the second half.
     Cycle end;
     {
         Fig10Machine ref;

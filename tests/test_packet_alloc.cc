@@ -84,11 +84,9 @@ TEST_F(PacketAllocTest, SteadyStateDeliveryIsAllocationFree)
 {
     // Warm-up: populate every (src,dst) channel, grow the channel
     // map, the arrival rings and the event pools to their high-water
-    // marks — including max-size payloads. The calendar queue's near
-    // band is a 1024-bucket ring whose per-bucket vectors keep their
-    // capacity once grown but start empty, so warm-up must keep going
-    // until every bucket phase the traffic pattern touches has been
-    // seen at full occupancy: run rounds until a long quiet streak.
+    // marks — including max-size payloads. Pools grow on the first
+    // round that needs more than they hold, so warm-up keeps going
+    // until a long quiet streak.
     int quiet = 0;
     for (int r = 0; quiet < 512 && r < 50000; ++r) {
         const std::uint64_t b = g_newCalls.load();
@@ -162,7 +160,7 @@ TEST_F(PacketAllocTest, BackPressureWakeupIsAllocationFree)
     };
 
     // Warm-up until the saturate/subscribe/drain cycle stops touching
-    // the heap (ring buckets reach steady-state capacity, see above).
+    // the heap (pools reach steady-state capacity, see above).
     auto cycle = [&] {
         saturate();
         net.subscribeSpace(0, 1, &waiter);
